@@ -95,7 +95,7 @@ func churnRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
 	churn := trace.GenChurn(seed, trace.ChurnConfig{
 		Duration: dur, Events: 6, Hosts: hosts,
 	})
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	play(c, fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
 		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
@@ -149,7 +149,7 @@ func TestAutoscaleShardInvariance(t *testing.T) {
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
 		c.Exec = exec
-		c.Play(fleetInvs(9, 6, dur, 6, 30), PlayConfig{
+		play(c, fleetInvs(9, 6, dur, 6, 30), PlayConfig{
 			Shards:    shards,
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
@@ -249,7 +249,7 @@ func TestFailDuringStartedDrain(t *testing.T) {
 	// The armed drain deadline (t=6s) must find a dead host: no second
 	// re-placement, no panic.
 	c.AdvanceTo(sim.Time(10 * sim.Second))
-	c.fireFleetEvents(sim.Time(10 * sim.Second))
+	c.fireBoundary(sim.Time(10 * sim.Second))
 	if c.Metrics.Replaced != 1 {
 		t.Fatalf("drain deadline re-placed again: Replaced = %d", c.Metrics.Replaced)
 	}
@@ -366,7 +366,7 @@ func TestDrainDeadlineReplacesExactlyOnce(t *testing.T) {
 	if c.LiveHosts() != 2 {
 		t.Fatal("drain settled with work in flight")
 	}
-	c.fireFleetEvents(deadline)
+	c.fireBoundary(deadline)
 	if c.Metrics.Replaced != 2 {
 		t.Fatalf("Replaced = %d, want 2 at the drain deadline", c.Metrics.Replaced)
 	}
@@ -441,7 +441,7 @@ func TestFleetEventNoOps(t *testing.T) {
 		{T: 0, Kind: HostFail, Host: 1},  // would remove the last active host
 		{T: 0, Kind: HostDrain, Host: 1}, // likewise
 	})
-	c.fireFleetEvents(0)
+	c.fireBoundary(0)
 	if c.Metrics.HostDrains != 1 || c.Metrics.HostFails != 0 {
 		t.Fatalf("drains=%d fails=%d, want exactly one drain", c.Metrics.HostDrains, c.Metrics.HostFails)
 	}
@@ -458,7 +458,7 @@ func TestResetClearsChurnState(t *testing.T) {
 	cfg := Config{Hosts: 3, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy, N: 4,
 		KeepAlive: 30 * sim.Second}
 	replay := func(c *ShardedCluster) (uint64, string) {
-		c.Play(fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
+		play(c, fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
 		})
@@ -468,7 +468,7 @@ func TestResetClearsChurnState(t *testing.T) {
 	wantFired, wantTable := replay(fresh)
 
 	churned := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
-	churned.Play(fleetInvs(5, 8, 20*sim.Second, 4, 24), PlayConfig{
+	play(churned, fleetInvs(5, 8, 20*sim.Second, 4, 24), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(20 * sim.Second),
 		DrainUntil: sim.Time(100 * sim.Second),
 		Events: []FleetEvent{

@@ -319,9 +319,9 @@ type Metrics struct {
 // ShardedCluster is a fleet of hosts behind one dispatcher, executed
 // as per-host sub-simulations: every host runs on its own scheduler,
 // and the epoch engine (shard.go) advances all hosts in lockstep to
-// each dispatcher boundary — an invocation to route or a fleet-wide
-// memory sample — merging the hosts back into one deterministic
-// timeline at every boundary.
+// each dispatcher boundary — an invocation to route, a fleet-wide
+// memory sample, or a queued timed event (boundary.go) — merging the
+// hosts back into one deterministic timeline at every boundary.
 //
 // Hosts interact only through the dispatcher: warm routing, scale-up
 // placement, and admission decisions all read host state while every
@@ -356,34 +356,32 @@ type ShardedCluster struct {
 	// order; with no churn, active == live == Nodes.
 	active    []*Node
 	live      []*Node
-	fleetQ    []FleetEvent // pending fleet events, sorted by T, FIFO at ties
 	autoscale *AutoscaleConfig
 	lastScale sim.Time // autoscaler cooldown anchor
 	scaled    bool     // an autoscaler action has happened this run
 
+	// bq is the boundary queue (boundary.go): every dispatcher-timed
+	// event, sorted by T, FIFO at ties.
+	bq []boundaryEvent
+
 	// Resilience state (resilience.go): resil is the normalized config
-	// (nil = plain dispatch), resilQ the pending timed decisions sorted
-	// by T, FIFO at ties; horizon flips after the final drain so
+	// (nil = plain dispatch); horizon flips after the final drain so
 	// late-settling failures stop scheduling retries.
 	resil   *ResilienceConfig
-	resilQ  []resilEvent
 	horizon bool
 
-	// Fault-injection state (faults.go): the pending plan sorted by T,
-	// the open windows sorted by expiry, and the plan seed every host
+	// Fault-injection state (faults.go): the plan seed every host
 	// injector derives its decision stream from.
-	faultQ    []fault.Event
-	faultOpen []openFault
 	faultSeed uint64
 	faultsOn  bool
 
 	// Recovery-storm control (repace.go): repace is the normalized
 	// pacing config (nil = immediate re-placement), repaceQ the
-	// priority-ordered queue of displaced work, repaceAt the next
-	// pacing boundary (0 = unarmed).
-	repace   *RepaceConfig
-	repaceQ  []repaceEntry
-	repaceAt sim.Time
+	// priority-ordered queue of displaced work, repaceArmed whether a
+	// pacing tick is queued.
+	repace      *RepaceConfig
+	repaceQ     []repaceEntry
+	repaceArmed bool
 
 	// Observability (internal/obs): obsT is the run's trace, fleetObs its
 	// fleet-level recorder written only by the serial dispatcher. Both are
@@ -545,18 +543,15 @@ func (c *ShardedCluster) Reset(cost *costmodel.Model, cfg Config, policy Policy)
 	}
 	c.active = append(c.active[:0], c.Nodes...)
 	c.live = append(c.live[:0], c.Nodes...)
-	c.fleetQ = c.fleetQ[:0]
+	clear(c.bq) // drop stale *openFault/*rflight pointers
+	c.bq = c.bq[:0]
 	c.resil = c.Cfg.Resilience
-	clear(c.resilQ) // drop stale *rflight pointers
-	c.resilQ = c.resilQ[:0]
 	c.horizon = false
-	clear(c.faultOpen)
-	c.faultQ, c.faultOpen = c.faultQ[:0], c.faultOpen[:0]
 	c.faultSeed, c.faultsOn = 0, false
 	c.repace = c.Cfg.Repace
 	clear(c.repaceQ) // drop stale *flight/*rflight pointers
 	c.repaceQ = c.repaceQ[:0]
-	c.repaceAt = 0
+	c.repaceArmed = false
 	c.obsT, c.fleetObs = nil, nil
 	c.autoscale = nil
 	c.lastScale, c.scaled = 0, false

@@ -23,6 +23,18 @@ func newTestCluster(hosts int, hostMem int64, kind faas.BackendKind, policy stri
 // drainFor runs every host d further and parks the dispatcher there.
 func drainFor(c *ShardedCluster, d sim.Duration) { c.Drain(c.Now().Add(d)) }
 
+// boundaryStep drives the dispatcher's boundary work the way PlayStream
+// does, in fixed 500 ms steps up to until. Manual-mode tests need it:
+// outside PlayStream nothing else fires queued events, so retries,
+// hedges, drain deadlines and paced re-placements would never happen.
+func boundaryStep(c *ShardedCluster, until sim.Time) {
+	for t := c.Now(); t < until; {
+		t = min(t.Add(500*sim.Millisecond), until)
+		c.AdvanceTo(t)
+		c.fireBoundary(t)
+	}
+}
+
 func TestWarmAffinityReusesInstance(t *testing.T) {
 	c := newTestCluster(2, 0, faas.Squeezy, "round-robin")
 	fn := workload.ByName("HTML")
@@ -188,7 +200,7 @@ func metricsTable(c *ShardedCluster) string {
 func TestFleetDeterminism(t *testing.T) {
 	run := func() (*Metrics, string) {
 		c := newTestCluster(3, 16*units.GiB, faas.Squeezy, "reclaim-aware")
-		c.Play(fleetInvs(42, 8, 40*sim.Second, 4, 20), PlayConfig{
+		play(c, fleetInvs(42, 8, 40*sim.Second, 4, 20), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(40 * sim.Second),
 			DrainUntil: sim.Time(60 * sim.Second),
 		})
@@ -216,7 +228,7 @@ func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 			Hosts: 2, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
-		c.Play(fleetInvs(7, 6, 30*sim.Second, 4, 24), PlayConfig{
+		play(c, fleetInvs(7, 6, 30*sim.Second, 4, 24), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
 		})
@@ -243,7 +255,7 @@ func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 // per-host recyclers now hand back.
 func TestResetReplaysIdentically(t *testing.T) {
 	replay := func(c *ShardedCluster) (uint64, string) {
-		c.Play(fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
+		play(c, fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
 		})

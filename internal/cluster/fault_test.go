@@ -51,7 +51,7 @@ func faultRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
 	churn := trace.GenChurn(seed, trace.ChurnConfig{
 		Duration: dur, Events: 4, Hosts: hosts,
 	})
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	play(c, fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
 		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
@@ -117,7 +117,7 @@ func rerunForMetrics(seed uint64) *ShardedCluster {
 			Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second, Shed: true,
 		},
 	}, NewPolicy("reclaim-aware", cost))
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	play(c, fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
 		Faults: fault.GenFaults(seed, fault.Config{
@@ -146,7 +146,7 @@ func TestFaultTracedMatchesUntraced(t *testing.T) {
 		if traced {
 			c.AttachObs(&obs.Trace{Experiment: "faults"})
 		}
-		c.Play(fleetInvs(2, 6, dur, 6, 30), PlayConfig{
+		play(c, fleetInvs(2, 6, dur, 6, 30), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Faults: fault.GenFaults(2, fault.Config{
@@ -176,7 +176,7 @@ func TestFaultNoOpPlansByteIdentical(t *testing.T) {
 			Hosts: 3, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
-		c.Play(fleetInvs(4, 6, dur, 6, 30), PlayConfig{
+		play(c, fleetInvs(4, 6, dur, 6, 30), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Faults:     faults, FaultSeed: 4,
@@ -200,26 +200,6 @@ func TestFaultNoOpPlansByteIdentical(t *testing.T) {
 	}
 }
 
-// resilStep drives the dispatcher boundary loop the way Play does —
-// advance, settle drains, fire fleet and fault events, resolve settled
-// attempts, fire due resilience decisions — in fixed steps up to
-// `until`. Manual-mode tests need it: outside Play nothing else runs
-// the boundary sequence, so retries and hedges would never fire.
-func resilStep(c *ShardedCluster, until sim.Time) {
-	for t := c.Now(); t < until; {
-		t = t.Add(500 * sim.Millisecond)
-		if t > until {
-			t = until
-		}
-		c.AdvanceTo(t)
-		c.settleDrains()
-		c.fireFleetEvents(t)
-		c.fireFaultEvents(t)
-		c.resolveSettled()
-		c.fireResilEvents(t)
-	}
-}
-
 // TestRetryAfterColdFail: a certain cold-boot failure inside a short
 // window, then a retry after backoff lands outside it and completes —
 // exactly one completion, no terminal failure. Hand-computed: the
@@ -234,7 +214,7 @@ func TestRetryAfterColdFail(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 1 * sim.Second, Kind: fault.ColdFail, Host: -1, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(0)
+	c.fireBoundary(0)
 	fn := workload.ByName("HTML")
 	completions, failures := 0, 0
 	c.Invoke(fn, func(res faas.Result) {
@@ -244,7 +224,7 @@ func TestRetryAfterColdFail(t *testing.T) {
 			completions++
 		}
 	})
-	resilStep(c, sim.Time(120*sim.Second))
+	boundaryStep(c, sim.Time(120*sim.Second))
 	c.finishResil()
 	if completions != 1 || failures != 0 {
 		t.Fatalf("completions=%d failures=%d, want exactly one clean completion", completions, failures)
@@ -269,7 +249,7 @@ func TestRetryBudgetExhaustedFailsOnce(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 600 * sim.Second, Kind: fault.ColdFail, Host: -1, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(0)
+	c.fireBoundary(0)
 	fn := workload.ByName("HTML")
 	callbacks, failures := 0, 0
 	c.Invoke(fn, func(res faas.Result) {
@@ -278,7 +258,7 @@ func TestRetryBudgetExhaustedFailsOnce(t *testing.T) {
 			failures++
 		}
 	})
-	resilStep(c, sim.Time(120*sim.Second))
+	boundaryStep(c, sim.Time(120*sim.Second))
 	c.finishResil()
 	if callbacks != 1 || failures != 1 {
 		t.Fatalf("callbacks=%d failures=%d, want exactly one terminal failure", callbacks, failures)
@@ -307,7 +287,7 @@ func TestHostFailMidBackoff(t *testing.T) {
 		// Only host 0 fails boots; round-robin places the primary there.
 		{T: 0, Dur: 1 * sim.Second, Kind: fault.ColdFail, Host: 0, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(0)
+	c.fireBoundary(0)
 	fn := workload.ByName("HTML")
 	var completions int32
 	c.Invoke(fn, func(res faas.Result) {
@@ -318,13 +298,12 @@ func TestHostFailMidBackoff(t *testing.T) {
 	// Let the boot failure settle and the backoff arm, then kill the
 	// failed host while the retry is still pending.
 	c.AdvanceTo(sim.Time(2 * sim.Second))
-	c.resolveSettled()
-	c.fireResilEvents(sim.Time(2 * sim.Second))
+	c.fireBoundary(sim.Time(2 * sim.Second))
 	if c.Metrics.Retries != 1 {
 		t.Fatalf("Retries = %d, want 1 armed before the host dies", c.Metrics.Retries)
 	}
 	c.failHost(c.Nodes[0])
-	resilStep(c, sim.Time(120*sim.Second))
+	boundaryStep(c, sim.Time(120*sim.Second))
 	c.finishResil()
 	if got := atomic.LoadInt32(&completions); got != 1 {
 		t.Fatalf("completions = %d, want exactly 1 on the survivor", got)
@@ -362,7 +341,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: c.Now(), Dur: 600 * sim.Second, Kind: fault.Straggler, Host: 0, Mag: 10},
 	}, 7)
-	c.fireFaultEvents(c.Now())
+	c.fireBoundary(c.Now())
 	var completions int32
 	c.Invoke(long, func(res faas.Result) {
 		if !res.Failed && !res.Dropped {
@@ -371,8 +350,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	})
 	start := c.Now()
 	c.AdvanceTo(start.Add(3 * sim.Second))
-	c.resolveSettled()
-	c.fireResilEvents(c.Now())
+	c.fireBoundary(c.Now())
 	if c.Metrics.Hedges != 1 {
 		t.Fatalf("Hedges = %d, want the hedge launched before the drain", c.Metrics.Hedges)
 	}
@@ -380,8 +358,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	// Ride past the drain deadline: the hedge attempt re-places.
 	deadline := c.Now().Add(costmodel.ReclaimDrainTimeout)
 	c.AdvanceTo(deadline)
-	c.settleDrains()
-	c.fireFleetEvents(deadline)
+	c.fireBoundary(deadline)
 	drainFor(c, 600*sim.Second)
 	c.finishResil()
 	if got := atomic.LoadInt32(&completions); got != 1 {
@@ -403,7 +380,7 @@ func TestRetryLandsOnJoinedHost(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 600 * sim.Second, Kind: fault.ColdFail, Host: 0, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(0)
+	c.fireBoundary(0)
 	fn := workload.ByName("HTML")
 	completions, failures := 0, 0
 	c.Invoke(fn, func(res faas.Result) {
@@ -414,8 +391,7 @@ func TestRetryLandsOnJoinedHost(t *testing.T) {
 		}
 	})
 	c.AdvanceTo(sim.Time(2 * sim.Second))
-	c.resolveSettled()
-	c.fireResilEvents(sim.Time(2 * sim.Second))
+	c.fireBoundary(sim.Time(2 * sim.Second))
 	if c.Metrics.Retries != 1 {
 		t.Fatalf("Retries = %d, want the backoff armed", c.Metrics.Retries)
 	}
@@ -424,7 +400,7 @@ func TestRetryLandsOnJoinedHost(t *testing.T) {
 		t.Fatal("joined host was not armed with an injector")
 	}
 	c.failHost(c.Nodes[0])
-	resilStep(c, sim.Time(120*sim.Second))
+	boundaryStep(c, sim.Time(120*sim.Second))
 	c.finishResil()
 	if completions != 1 || failures != 0 {
 		t.Fatalf("completions=%d failures=%d, want the retry to land cleanly on the joiner", completions, failures)

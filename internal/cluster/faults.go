@@ -3,26 +3,26 @@ package cluster
 import (
 	"squeezy/internal/fault"
 	"squeezy/internal/obs"
-	"squeezy/internal/sim"
 )
 
-// Fault-plan execution: windows open and close at dispatcher epoch
-// boundaries, with every host paused — the same serialization point
-// that makes routing and churn deterministic makes fault injection
-// deterministic. Between boundaries each host consults only its own
-// injector (internal/fault), whose probabilistic decisions come from a
+// Fault-plan execution: window opens and closes are boundary-queue
+// events (see "Boundary queue" in the package comment), fired with
+// every host paused — the same serialization point that makes routing
+// and churn deterministic makes fault injection deterministic. Between
+// boundaries each host consults only its own injector
+// (internal/fault), whose probabilistic decisions come from a
 // counter-mode stream seeded by (plan seed, host ID) — so nothing an
 // injected fault does depends on the shard partition or worker pool.
 //
 // Window semantics follow fault.Event: Host -1 targets every host live
 // at open time (the applied set is recorded, so the close targets
 // exactly those hosts and a mid-window joiner is unaffected); dangling
-// IDs are no-ops. At a boundary, closes fire before opens.
+// IDs are no-ops.
 
-// openFault is one active window and the hosts it was applied to.
+// openFault is one plan window and, once open, the hosts it was
+// applied to; its open and close events share it.
 type openFault struct {
 	ev    fault.Event
-	until sim.Time
 	hosts []*Node
 }
 
@@ -44,7 +44,7 @@ func (c *ShardedCluster) ScheduleFaults(events []fault.Event, seed uint64) {
 		}
 	}
 	for _, ev := range events {
-		c.enqueueFault(ev)
+		c.pushBoundary(boundaryEvent{T: ev.T, class: classFaultOpen, win: &openFault{ev: ev}})
 	}
 }
 
@@ -56,57 +56,12 @@ func (c *ShardedCluster) armInjector(n *Node) {
 	n.RT.Faults = n.inj
 }
 
-// enqueueFault inserts the event keeping the queue sorted by time,
-// FIFO among equal times.
-func (c *ShardedCluster) enqueueFault(ev fault.Event) {
-	i := len(c.faultQ)
-	for i > 0 && c.faultQ[i-1].T > ev.T {
-		i--
-	}
-	c.faultQ = append(c.faultQ, fault.Event{})
-	copy(c.faultQ[i+1:], c.faultQ[i:])
-	c.faultQ[i] = ev
-}
-
-// nextFault reports the earliest pending fault boundary — a window
-// opening or closing — at or before horizon.
-func (c *ShardedCluster) nextFault(horizon sim.Time) (sim.Time, bool) {
-	t, have := sim.Time(0), false
-	if len(c.faultQ) > 0 && c.faultQ[0].T <= horizon {
-		t, have = c.faultQ[0].T, true
-	}
-	if len(c.faultOpen) > 0 {
-		if u := c.faultOpen[0].until; u <= horizon && (!have || u < t) {
-			t, have = u, true
-		}
-	}
-	return t, have
-}
-
-// fireFaultEvents applies every window transition due at or before t:
-// expired windows close first, then due windows open. The fleet must
-// be paused at boundary t.
-func (c *ShardedCluster) fireFaultEvents(t sim.Time) {
-	if !c.faultsOn {
-		return
-	}
-	for len(c.faultOpen) > 0 && c.faultOpen[0].until <= t {
-		of := c.faultOpen[0]
-		c.faultOpen = c.faultOpen[1:]
-		c.closeFault(of)
-	}
-	for len(c.faultQ) > 0 && c.faultQ[0].T <= t {
-		ev := c.faultQ[0]
-		c.faultQ = c.faultQ[1:]
-		c.openFaultWindow(ev)
-	}
-}
-
 // openFaultWindow resolves the event's target hosts, opens the window
 // on each, and records the applied set so the close mirrors it.
-func (c *ShardedCluster) openFaultWindow(ev fault.Event) {
+func (c *ShardedCluster) openFaultWindow(of *openFault) {
+	ev := of.ev
 	if ev.Kind.Domain() {
-		c.openDomainFault(ev)
+		c.openDomainFault(of)
 		return
 	}
 	var hosts []*Node
@@ -127,7 +82,7 @@ func (c *ShardedCluster) openFaultWindow(ev fault.Event) {
 			c.applyStraggler(n)
 		}
 	}
-	c.insertOpenFault(openFault{ev: ev, until: ev.T.Add(ev.Dur), hosts: hosts})
+	c.queueClose(of, hosts)
 	if c.fleetObs != nil {
 		c.fleetObs.Count("faults/windows", 1)
 		c.fleetObs.Instant("fault-open: "+ev.Kind.String(), obs.CatFault,
@@ -145,7 +100,8 @@ func (c *ShardedCluster) openFaultWindow(ev fault.Event) {
 // no topology, a dangling rack index, or a rack with no live members
 // makes the event a deterministic no-op — the domain mirror of the
 // dangling-host contract.
-func (c *ShardedCluster) openDomainFault(ev fault.Event) {
+func (c *ShardedCluster) openDomainFault(of *openFault) {
+	ev := of.ev
 	topo := c.Cfg.Topology
 	if !topo.ValidRack(ev.Host) {
 		return
@@ -182,12 +138,12 @@ func (c *ShardedCluster) openDomainFault(ev fault.Event) {
 			n.inj.Open(rackStraggler(ev, n))
 			c.applyStraggler(n)
 		}
-		c.insertOpenFault(openFault{ev: ev, until: ev.T.Add(ev.Dur), hosts: hosts})
+		c.queueClose(of, hosts)
 	case fault.RackPartition:
 		for _, n := range hosts {
 			c.partitionHost(n)
 		}
-		c.insertOpenFault(openFault{ev: ev, until: ev.T.Add(ev.Dur), hosts: hosts})
+		c.queueClose(of, hosts)
 	}
 }
 
@@ -235,22 +191,17 @@ func insertNode(nodes []*Node, n *Node) []*Node {
 	return nodes
 }
 
-// insertOpenFault keeps the active-window list sorted by expiry, FIFO
-// among equal expiries.
-func (c *ShardedCluster) insertOpenFault(of openFault) {
-	i := len(c.faultOpen)
-	for i > 0 && c.faultOpen[i-1].until > of.until {
-		i--
-	}
-	c.faultOpen = append(c.faultOpen, openFault{})
-	copy(c.faultOpen[i+1:], c.faultOpen[i:])
-	c.faultOpen[i] = of
+// queueClose records the hosts an opened window was applied to and
+// queues its close at the window's expiry.
+func (c *ShardedCluster) queueClose(of *openFault, hosts []*Node) {
+	of.hosts = hosts
+	c.pushBoundary(boundaryEvent{T: of.ev.T.Add(of.ev.Dur), class: classFaultClose, win: of})
 }
 
 // closeFault closes the window on exactly the hosts it opened on;
 // hosts that died mid-window are skipped (their injectors are frozen
 // with their schedulers).
-func (c *ShardedCluster) closeFault(of openFault) {
+func (c *ShardedCluster) closeFault(of *openFault) {
 	for _, n := range of.hosts {
 		if n.state == nodeDead {
 			continue

@@ -8,12 +8,10 @@ import (
 
 // Fleet dynamics: hosts join, fail, and drain while a trace plays.
 //
-// Every fleet-shape change happens at a dispatcher epoch boundary,
-// with all hosts paused — the same serialization point that makes
-// routing deterministic makes churn deterministic. The canonical
-// boundary order is: retire finished drains, fire due fleet events in
-// queue order, route invocations in trace order, sample memory,
-// evaluate the autoscaler. Nothing about a shape change depends on the
+// Every fleet-shape change is a boundary-queue event (see "Boundary
+// queue" in the package comment) fired with all hosts paused — the
+// same serialization point that makes routing deterministic makes
+// churn deterministic. Nothing about a shape change depends on the
 // shard partition or the worker pool:
 //
 //   - Failure: the host's warm pool is lost, its runtime is released
@@ -83,8 +81,12 @@ type AutoscaleConfig struct {
 // need not be sorted; same-time events fire in the given order.
 func (c *ShardedCluster) ScheduleFleetEvents(events []FleetEvent) {
 	for _, ev := range events {
-		c.enqueueFleet(ev)
+		c.pushFleet(ev)
 	}
+}
+
+func (c *ShardedCluster) pushFleet(ev FleetEvent) {
+	c.pushBoundary(boundaryEvent{T: ev.T, class: classFleet, fleet: ev})
 }
 
 // ActiveHosts returns the number of placement-eligible hosts.
@@ -93,28 +95,6 @@ func (c *ShardedCluster) ActiveHosts() int { return len(c.active) }
 // LiveHosts returns the number of hosts still advancing (active +
 // draining).
 func (c *ShardedCluster) LiveHosts() int { return len(c.live) }
-
-// enqueueFleet inserts the event keeping the queue sorted by time,
-// FIFO among equal times.
-func (c *ShardedCluster) enqueueFleet(ev FleetEvent) {
-	i := len(c.fleetQ)
-	for i > 0 && c.fleetQ[i-1].T > ev.T {
-		i--
-	}
-	c.fleetQ = append(c.fleetQ, FleetEvent{})
-	copy(c.fleetQ[i+1:], c.fleetQ[i:])
-	c.fleetQ[i] = ev
-}
-
-// fireFleetEvents applies every queued event due at or before t. The
-// fleet must be paused at boundary t.
-func (c *ShardedCluster) fireFleetEvents(t sim.Time) {
-	for len(c.fleetQ) > 0 && c.fleetQ[0].T <= t {
-		ev := c.fleetQ[0]
-		c.fleetQ = c.fleetQ[1:]
-		c.applyFleetEvent(ev)
-	}
-}
 
 func (c *ShardedCluster) applyFleetEvent(ev FleetEvent) {
 	switch ev.Kind {
@@ -236,7 +216,7 @@ func (c *ShardedCluster) startDrain(n *Node) {
 	}
 	n.state = nodeDraining
 	c.active = removeNode(c.active, n)
-	c.enqueueFleet(FleetEvent{
+	c.pushFleet(FleetEvent{
 		T: c.now.Add(costmodel.ReclaimDrainTimeout), Kind: drainDeadline, Host: n.ID,
 	})
 }
@@ -256,8 +236,8 @@ func (c *ShardedCluster) expireDrain(n *Node) {
 }
 
 // settleDrains retires draining hosts whose in-flight work has
-// completed. Called at every epoch boundary, before fleet events and
-// routing, so a finished drain frees its shard slot promptly.
+// completed. Called first at every boundary (fireBoundary), so a
+// finished drain frees its shard slot promptly.
 func (c *ShardedCluster) settleDrains() {
 	var done []*Node // collected first: retire edits c.live in place
 	for _, n := range c.live {
@@ -284,8 +264,7 @@ func (c *ShardedCluster) retire(n *Node) {
 }
 
 // replaceFlights re-places a retired host's in-flight invocations in
-// their original routing order — immediately, or through the pacing
-// queue when recovery-storm control is on (repace.go). Each flight
+// their original routing order (displace, repace.go). Each flight
 // keeps its arrival time, so its eventual latency pays for the lost
 // work. Re-placement runs after retirement: the dispatcher no longer
 // sees the dead host.
@@ -294,17 +273,7 @@ func (c *ShardedCluster) replaceFlights(n *Node) {
 	n.inflight = nil // ownership moves; the dead host drops its list
 	for _, fl := range flights {
 		fl.replaced = true
-		if c.repace != nil {
-			c.queueRepace(repaceEntry{fl: fl, from: n.ID})
-			continue
-		}
-		c.Metrics.Replaced++
-		if c.fleetObs != nil {
-			c.fleetObs.Count("replaced", 1)
-			c.fleetObs.Instant("replace: "+fl.fn.Name, obs.CatInvoke,
-				obs.I("from_host", int64(n.ID)))
-		}
-		c.route(fl)
+		c.displace(repaceEntry{fn: fl.fn, fl: fl, from: n.ID})
 	}
 }
 
@@ -342,7 +311,7 @@ func (c *ShardedCluster) autoscaleTick() {
 	}
 	switch {
 	case pressure >= as.High && len(c.active)+c.queuedJoins() < maxHosts:
-		c.enqueueFleet(FleetEvent{T: c.now.Add(as.JoinDelay), Kind: HostJoin, Host: -1})
+		c.pushFleet(FleetEvent{T: c.now.Add(as.JoinDelay), Kind: HostJoin, Host: -1})
 		c.lastScale, c.scaled = c.now, true
 		if c.fleetObs != nil {
 			c.fleetObs.Count("autoscale/up", 1)
@@ -366,8 +335,8 @@ func (c *ShardedCluster) autoscaleTick() {
 // spike doesn't over-provision while provisioning delay runs.
 func (c *ShardedCluster) queuedJoins() int {
 	joins := 0
-	for _, ev := range c.fleetQ {
-		if ev.Kind == HostJoin {
+	for _, e := range c.bq {
+		if e.class == classFleet && e.fleet.Kind == HostJoin {
 			joins++
 		}
 	}

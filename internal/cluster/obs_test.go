@@ -37,7 +37,7 @@ func churnRunObs(seed uint64, shards int, exec func([]func())) (uint64, string, 
 	churn := trace.GenChurn(seed, trace.ChurnConfig{
 		Duration: dur, Events: 6, Hosts: hosts,
 	})
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	play(c, fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
 		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
@@ -125,7 +125,7 @@ func TestObsAutoscaleCounters(t *testing.T) {
 			c.AttachObs(tr)
 		}
 		invs := fleetInvs(9, 6, dur, 6, 30)
-		c.Play(invs, PlayConfig{
+		play(c, invs, PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Autoscale: &AutoscaleConfig{

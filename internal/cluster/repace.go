@@ -5,6 +5,7 @@ import (
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
 	"squeezy/internal/units"
+	"squeezy/internal/workload"
 )
 
 // Recovery-storm control: when a whole rack dies, the exactly-once
@@ -15,8 +16,9 @@ import (
 // enters a priority-ordered queue that the dispatcher drains at a
 // bounded rate on its own timed boundaries, so the recovery load
 // spreads over simulated time. The queue is dispatcher-owned serial
-// state and its tick is an epoch boundary like any other, so pacing is
-// byte-identical at every shard and worker count.
+// state and its tick is a boundary-queue event (see "Boundary queue"
+// in the package comment), so pacing is byte-identical at every shard
+// and worker count.
 
 // RepaceConfig turns on paced re-placement (Config.Repace; nil
 // preserves immediate re-placement bit-for-bit). Zero-valued fields
@@ -47,34 +49,25 @@ func (r RepaceConfig) withDefaults() RepaceConfig {
 	return r
 }
 
-// repaceEntry is one displaced invocation waiting for a pacing slot:
-// a plain-path flight or a resilient rflight, plus the host it was
-// displaced from (for the dispatch-time trace instant).
+// repaceEntry is one displaced invocation: a plain-path flight or a
+// resilient rflight, its function, and the host it was displaced from
+// (for the dispatch-time trace instant).
 type repaceEntry struct {
+	fn   *workload.Function
 	fl   *flight
 	rfl  *rflight
 	from int
 }
 
-func (e repaceEntry) priority() int {
-	if e.rfl != nil {
-		return e.rfl.fn.Priority
+// displace re-places one invocation displaced by a host failure or
+// drain expiry: through the pacing queue when recovery-storm control is
+// on, immediately otherwise.
+func (c *ShardedCluster) displace(e repaceEntry) {
+	if c.repace != nil {
+		c.queueRepace(e)
+		return
 	}
-	return e.fl.fn.Priority
-}
-
-func (e repaceEntry) fnName() string {
-	if e.rfl != nil {
-		return e.rfl.fn.Name
-	}
-	return e.fl.fn.Name
-}
-
-func (e repaceEntry) memLimit() int64 {
-	if e.rfl != nil {
-		return e.rfl.fn.MemoryLimit
-	}
-	return e.fl.fn.MemoryLimit
+	c.dispatchRepace(e)
 }
 
 // queueRepace admits one displaced invocation to the pacing queue,
@@ -85,39 +78,25 @@ func (c *ShardedCluster) queueRepace(e repaceEntry) {
 	c.Metrics.Paced++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("repace/queued", 1)
-		c.fleetObs.Instant("replace-queued: "+e.fnName(), obs.CatInvoke,
+		c.fleetObs.Instant("replace-queued: "+e.fn.Name, obs.CatInvoke,
 			obs.I("from_host", int64(e.from)), obs.I("depth", int64(len(c.repaceQ)+1)))
 	}
-	p := e.priority()
 	i := len(c.repaceQ)
-	for i > 0 && c.repaceQ[i-1].priority() < p {
+	for i > 0 && c.repaceQ[i-1].fn.Priority < e.fn.Priority {
 		i--
 	}
 	c.repaceQ = append(c.repaceQ, repaceEntry{})
 	copy(c.repaceQ[i+1:], c.repaceQ[i:])
 	c.repaceQ[i] = e
-	if c.repaceAt == 0 {
-		c.repaceAt = c.now.Add(c.repace.Every)
+	if !c.repaceArmed {
+		c.repaceArmed = true
+		c.pushBoundary(boundaryEvent{T: c.now.Add(c.repace.Every), class: classRepace})
 	}
-}
-
-// nextRepace reports the pending pacing boundary, if armed.
-func (c *ShardedCluster) nextRepace() (sim.Time, bool) {
-	if c.repaceAt == 0 {
-		return 0, false
-	}
-	return c.repaceAt, true
 }
 
 // fireRepace releases up to PerTick queued re-placements at boundary t
-// and re-arms the tick while work remains. Runs in the canonical
-// boundary order after the resilience events and before the
-// invocations due at t, so recovered work and fresh arrivals interleave
-// deterministically.
+// and re-arms the tick while work remains.
 func (c *ShardedCluster) fireRepace(t sim.Time) {
-	if c.repace == nil || c.repaceAt == 0 || c.repaceAt > t {
-		return
-	}
 	budget := c.repace.PerTick
 	for budget > 0 && len(c.repaceQ) > 0 {
 		e := c.repaceQ[0]
@@ -126,16 +105,15 @@ func (c *ShardedCluster) fireRepace(t sim.Time) {
 		budget--
 		c.dispatchRepace(e)
 	}
-	if len(c.repaceQ) > 0 {
-		c.repaceAt = t.Add(c.repace.Every)
-	} else {
-		c.repaceAt = 0
+	c.repaceArmed = len(c.repaceQ) > 0
+	if c.repaceArmed {
+		c.pushBoundary(boundaryEvent{T: t.Add(c.repace.Every), class: classRepace})
 	}
 }
 
 // dispatchRepace re-places one displaced invocation through the normal
-// machinery. Replaced counts here — at actual re-dispatch — mirroring
-// the unpaced path's accounting.
+// machinery. Replaced counts here — at actual re-dispatch, paced or
+// not.
 func (c *ShardedCluster) dispatchRepace(e repaceEntry) {
 	if e.rfl != nil && e.rfl.resolved {
 		return // a surviving racer won while this one waited
@@ -143,7 +121,7 @@ func (c *ShardedCluster) dispatchRepace(e repaceEntry) {
 	c.Metrics.Replaced++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("replaced", 1)
-		c.fleetObs.Instant("replace: "+e.fnName(), obs.CatInvoke,
+		c.fleetObs.Instant("replace: "+e.fn.Name, obs.CatInvoke,
 			obs.I("from_host", int64(e.from)))
 	}
 	if e.rfl != nil {
@@ -161,7 +139,7 @@ func (c *ShardedCluster) dispatchRepace(e repaceEntry) {
 func (c *ShardedCluster) repaceBacklogPages() int64 {
 	var pages int64
 	for _, e := range c.repaceQ {
-		pages += units.BytesToPages(e.memLimit())
+		pages += units.BytesToPages(e.fn.MemoryLimit)
 	}
 	return pages
 }

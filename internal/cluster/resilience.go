@@ -24,10 +24,10 @@ import (
 // host-ID order and resolves each invocation exactly once. The first
 // successful attempt wins; losers are withdrawn with
 // faas.Ticket.TryCancel, and a loser too far along to cancel runs
-// detached, its result ignored. Timed events (timeouts, backoff
-// expirations, hedge launches) live in a dispatcher-side queue that
-// contributes epoch boundaries, so resilience decisions happen at
-// exact simulated times, identical at every shard count.
+// detached, its result ignored. Timed decisions (timeouts, backoff
+// expirations, hedge launches) are boundary-queue events (see
+// "Boundary queue" in the package comment), so they happen at exact
+// simulated times, identical at every shard count.
 
 // ResilienceConfig turns on the dispatcher resilience layer
 // (Config.Resilience; nil preserves the plain dispatch path
@@ -139,64 +139,16 @@ const (
 	hedgeLaunch
 )
 
-// resilEvent is one scheduled resilience decision on simulated time.
+// resilEvent is one scheduled resilience decision.
 type resilEvent struct {
-	T    sim.Time
 	kind resilEventKind
 	fl   *rflight
 	att  *attempt // attemptTimeout only
 }
 
-// enqueueResil inserts the event keeping the queue sorted by time,
-// FIFO among equal times.
-func (c *ShardedCluster) enqueueResil(ev resilEvent) {
-	i := len(c.resilQ)
-	for i > 0 && c.resilQ[i-1].T > ev.T {
-		i--
-	}
-	c.resilQ = append(c.resilQ, resilEvent{})
-	copy(c.resilQ[i+1:], c.resilQ[i:])
-	c.resilQ[i] = ev
-}
-
-// nextResil reports the earliest pending resilience boundary, pruning
-// moot head events (resolved flights, attempts already withdrawn) so
-// the epoch loop doesn't advance to boundaries with nothing to do.
-// Pruning reads only simulation state settled at the last boundary, so
-// it is shard- and worker-invariant.
-func (c *ShardedCluster) nextResil() (sim.Time, bool) {
-	for len(c.resilQ) > 0 {
-		ev := c.resilQ[0]
-		if ev.fl.resolved ||
-			(ev.kind == attemptTimeout && (ev.att.cancelled || ev.att.dead)) {
-			c.resilQ = c.resilQ[1:]
-			continue
-		}
-		return ev.T, true
-	}
-	return 0, false
-}
-
-// fireResilEvents applies every due resilience decision at or before
-// t. The fleet must be paused at boundary t, with settled attempts
-// already resolved (resolveSettled) so a completion at t' < t beats a
-// timeout due at t.
-func (c *ShardedCluster) fireResilEvents(t sim.Time) {
-	for len(c.resilQ) > 0 && c.resilQ[0].T <= t {
-		ev := c.resilQ[0]
-		c.resilQ = c.resilQ[1:]
-		if ev.fl.resolved {
-			continue
-		}
-		switch ev.kind {
-		case attemptTimeout:
-			c.timeoutAttempt(ev.fl, ev.att)
-		case retryLaunch:
-			c.launchAttempt(ev.fl)
-		case hedgeLaunch:
-			c.hedgeAttempt(ev.fl)
-		}
-	}
+// queueResil schedules a resilience decision d from now.
+func (c *ShardedCluster) queueResil(d sim.Duration, ev resilEvent) {
+	c.pushBoundary(boundaryEvent{T: c.now.Add(d), class: classResil, resil: ev})
 }
 
 // invokeResilient admits one invocation through the resilience layer:
@@ -210,7 +162,7 @@ func (c *ShardedCluster) invokeResilient(fn *workload.Function, onDone func(faas
 	fl := &rflight{fn: fn, arrival: c.now, onDone: onDone}
 	c.launchAttempt(fl)
 	if c.resil.Hedge && !fl.resolved {
-		c.enqueueResil(resilEvent{T: c.now.Add(c.resil.HedgeDelay), kind: hedgeLaunch, fl: fl})
+		c.queueResil(c.resil.HedgeDelay, resilEvent{kind: hedgeLaunch, fl: fl})
 	}
 }
 
@@ -359,7 +311,7 @@ func (c *ShardedCluster) startAttempt(fl *rflight, tier string, n *Node, fv *faa
 		n.removeAttempt(att)
 		n.settled = append(n.settled, att)
 	})
-	c.enqueueResil(resilEvent{T: c.now.Add(c.resil.Timeout), kind: attemptTimeout, fl: fl, att: att})
+	c.queueResil(c.resil.Timeout, resilEvent{kind: attemptTimeout, fl: fl, att: att})
 	if c.fleetObs != nil {
 		c.fleetObs.Count("dispatch/"+tier, 1)
 		c.fleetObs.Instant("dispatch/"+tier+": "+fl.fn.Name, obs.CatInvoke,
@@ -420,7 +372,7 @@ func (c *ShardedCluster) scheduleRetry(fl *rflight) {
 		c.fleetObs.Instant("retry: "+fl.fn.Name, obs.CatFault,
 			obs.I("retry", int64(fl.retries)), obs.I("backoff_ms", int64(backoff.Milliseconds())))
 	}
-	c.enqueueResil(resilEvent{T: c.now.Add(backoff), kind: retryLaunch, fl: fl})
+	c.queueResil(backoff, resilEvent{kind: retryLaunch, fl: fl})
 }
 
 // finalFail resolves the flight with its terminal failure. The result
@@ -450,8 +402,9 @@ func (c *ShardedCluster) finalFail(fl *rflight, n *Node, res faas.Result) {
 // order and resolves their flights: the first successful completion in
 // canonical order wins, failures feed the retry machinery, and
 // results of already-resolved flights are dropped (a hedge loser that
-// could not be cancelled). Runs serially at a boundary, before
-// fireResilEvents, so completions beat same-instant timeouts.
+// could not be cancelled). Runs serially at every boundary, before the
+// resilience decisions (fireBoundary), so completions beat
+// same-instant timeouts.
 func (c *ShardedCluster) resolveSettled() {
 	if c.resil == nil {
 		return
@@ -512,9 +465,8 @@ func (c *ShardedCluster) resolveFlight(fl *rflight, att *attempt) {
 }
 
 // replaceAttempts re-places a retired host's racing attempts, exactly
-// once each — immediately, or through the pacing queue when
-// recovery-storm control is on (the resilient mirror of
-// replaceFlights). Settled-but-unresolved attempts keep their results;
+// once each (displace, repace.go) — the resilient mirror of
+// replaceFlights. Settled-but-unresolved attempts keep their results;
 // they resolve at the next boundary from the dead host's settled list.
 func (c *ShardedCluster) replaceAttempts(n *Node) {
 	atts := n.attempts
@@ -526,17 +478,7 @@ func (c *ShardedCluster) replaceAttempts(n *Node) {
 			continue
 		}
 		att.fl.replaced = true
-		if c.repace != nil {
-			c.queueRepace(repaceEntry{rfl: att.fl, from: n.ID})
-			continue
-		}
-		c.Metrics.Replaced++
-		if c.fleetObs != nil {
-			c.fleetObs.Count("replaced", 1)
-			c.fleetObs.Instant("replace: "+att.fl.fn.Name, obs.CatInvoke,
-				obs.I("from_host", int64(n.ID)))
-		}
-		c.launchAttempt(att.fl)
+		c.displace(repaceEntry{fn: att.fl.fn, rfl: att.fl, from: n.ID})
 	}
 }
 

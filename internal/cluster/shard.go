@@ -13,9 +13,10 @@ import (
 //
 // Hosts in a fleet interact only through the dispatcher — warm
 // routing, scale-up placement, admission — and the dispatcher only
-// acts at known times: the invocation timestamps of the trace and the
-// fleet-wide memory-sample ticks. Those times are the epochs. The
-// engine repeats three steps:
+// acts at known times: the invocation timestamps of the trace, the
+// fleet-wide memory-sample ticks, and the events of the boundary queue
+// (boundary.go). Those times are the epochs. The engine repeats three
+// steps:
 //
 //  1. advance: every host's scheduler runs to the next boundary T with
 //     sim.Scheduler.RunUntilEpoch — all host events strictly before T
@@ -24,12 +25,13 @@ import (
 //     and shards run concurrently when an Exec hook is installed
 //     (disjoint hosts, so any interleaving is equivalent).
 //  2. merge: with every host paused at T, the dispatcher fires the
-//     boundary events at T in canonical order — invocations in trace
-//     order first, then the memory sample. Routing reads host state
-//     settled through T-1 plus the synchronous effects of earlier
-//     boundary events at T, identically at every shard count.
-//  3. repeat, until the trace and ticks are exhausted; then every host
-//     drains independently to the horizon.
+//     boundary work at T in canonical order — queued events
+//     (fireBoundary), then invocations in trace order, then the memory
+//     sample. Routing reads host state settled through T-1 plus the
+//     synchronous effects of earlier boundary work at T, identically at
+//     every shard count.
+//  3. repeat, until the trace, ticks, and queue are exhausted; then
+//     every host drains independently to the horizon.
 //
 // Determinism argument: a host's event stream between boundaries is a
 // pure function of its state at the last boundary (host-local events
@@ -66,7 +68,8 @@ type PlayConfig struct {
 	// Events is the churn schedule: fleet-shape changes fired at epoch
 	// boundaries on simulated time (fleetdyn.go). Events need not be
 	// sorted; same-time events fire in the given order. Events past
-	// DrainUntil never fire.
+	// DrainUntil never create a boundary of their own; a later
+	// invocation or tick boundary still fires them.
 	Events []FleetEvent
 	// Autoscale, when non-nil, drives host count from aggregate memory
 	// pressure, evaluated after each memory sample — so autoscaling
@@ -78,15 +81,6 @@ type PlayConfig struct {
 	// byte-identical to a fault-free one.
 	Faults    []fault.Event
 	FaultSeed uint64
-}
-
-// Play replays a time-sorted invocation slice through the dispatcher
-// under the epoch protocol described above. It leaves every host at
-// DrainUntil and the merged fleet metrics ready in Stats(). Play is a
-// thin wrapper over PlayStream (stream.go), which accepts a streaming
-// source and bounds memory independently of invocation count.
-func (c *ShardedCluster) Play(invs []Invocation, pc PlayConfig) {
-	c.PlayStream(SliceStream(invs), pc)
 }
 
 // prepareShards records the requested shard count, partitions the live

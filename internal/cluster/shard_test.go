@@ -21,7 +21,7 @@ func shardedRun(t *testing.T, backend faas.BackendKind, shards int, exec func([]
 		N: 4, KeepAlive: 20 * sim.Second,
 	}, NewPolicy("reclaim-aware", cost))
 	c.Exec = exec
-	c.Play(fleetInvs(11, 8, 30*sim.Second, 6, 30), PlayConfig{
+	play(c, fleetInvs(11, 8, 30*sim.Second, 6, 30), PlayConfig{
 		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 		DrainUntil: sim.Time(300 * sim.Second),
@@ -85,7 +85,7 @@ func TestPlayTickCadence(t *testing.T) {
 	cost := costmodel.Default()
 	c := NewSharded(cost, Config{Hosts: 2, Backend: faas.Squeezy},
 		NewPolicy("round-robin", cost))
-	c.Play(fleetInvs(5, 4, 10*sim.Second, 2, 8), PlayConfig{
+	play(c, fleetInvs(5, 4, 10*sim.Second, 2, 8), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(10 * sim.Second),
 		DrainUntil: sim.Time(20 * sim.Second),
 	})
@@ -103,7 +103,7 @@ func TestShardWallsCoverShards(t *testing.T) {
 	cost := costmodel.Default()
 	c := NewSharded(cost, Config{Hosts: 4, Backend: faas.Squeezy},
 		NewPolicy("round-robin", cost))
-	c.Play(fleetInvs(5, 4, 5*sim.Second, 2, 8), PlayConfig{
+	play(c, fleetInvs(5, 4, 5*sim.Second, 2, 8), PlayConfig{
 		Shards: 2, DrainUntil: sim.Time(10 * sim.Second),
 	})
 	if len(c.ShardWalls()) != 2 {

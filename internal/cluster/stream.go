@@ -10,8 +10,8 @@ import (
 // the epoch loop peeks the next arrival time to pick each boundary,
 // then pops every invocation due at that boundary. A streaming source
 // (e.g. a merged trace cursor) holds O(funcs) state, so a multi-day
-// million-invocation replay never materializes its trace; a slice is
-// adapted via SliceStream. Times must be non-decreasing.
+// million-invocation replay never materializes its trace. Times must
+// be non-decreasing.
 type InvocationStream interface {
 	// Peek returns the arrival time of the next invocation without
 	// consuming it; ok is false when the stream is exhausted.
@@ -20,39 +20,10 @@ type InvocationStream interface {
 	Next() (Invocation, bool)
 }
 
-// sliceStream adapts a materialized invocation slice to the stream
-// interface.
-type sliceStream struct {
-	invs []Invocation
-	i    int
-}
-
-// SliceStream wraps a time-sorted invocation slice as an
-// InvocationStream. PlayStream(SliceStream(invs), pc) is byte-identical
-// to Play(invs, pc) — Play is implemented exactly that way.
-func SliceStream(invs []Invocation) InvocationStream {
-	return &sliceStream{invs: invs}
-}
-
-func (s *sliceStream) Peek() (sim.Time, bool) {
-	if s.i >= len(s.invs) {
-		return 0, false
-	}
-	return s.invs[s.i].T, true
-}
-
-func (s *sliceStream) Next() (Invocation, bool) {
-	if s.i >= len(s.invs) {
-		return Invocation{}, false
-	}
-	inv := s.invs[s.i]
-	s.i++
-	return inv, true
-}
-
 // PlayStream replays a time-sorted invocation stream through the
-// dispatcher under the epoch protocol (see Play and the package
-// comment in shard.go). The stream is consumed exactly once, one
+// dispatcher under the epoch protocol (see the package comment in
+// shard.go). It leaves every host at DrainUntil and the merged fleet
+// metrics ready in Stats(). The stream is consumed exactly once, one
 // boundary at a time: peak memory is bounded by the stream's own
 // cursor state plus the fleet, independent of how many invocations
 // flow through — the property the memory-bound regression test
@@ -75,38 +46,14 @@ func (c *ShardedCluster) PlayStream(src InvocationStream, pc PlayConfig) {
 	}
 	var nextTick sim.Time
 	for {
-		// Next boundary: the earliest of the next invocation, the next
-		// tick, the next due fleet event, the next fault-window
-		// transition, and the next live resilience decision.
-		t, have := sim.Time(0), false
-		consider := func(x sim.Time) {
-			if !have || x < t {
-				t, have = x, true
-			}
+		// Next boundary: the earliest of the boundary queue, the next
+		// invocation, and the next tick.
+		t, have := c.nextBoundary(pc.DrainUntil)
+		if it, ok := src.Peek(); ok && (!have || it < t) {
+			t, have = it, true
 		}
-		late := func(x sim.Time) sim.Time {
-			if x < c.now {
-				return c.now // late-queued event fires at the next boundary
-			}
-			return x
-		}
-		if it, ok := src.Peek(); ok {
-			consider(it)
-		}
-		if ticks && nextTick <= pc.TickUntil {
-			consider(nextTick)
-		}
-		if len(c.fleetQ) > 0 && c.fleetQ[0].T <= pc.DrainUntil {
-			consider(late(c.fleetQ[0].T))
-		}
-		if ft, ok := c.nextFault(pc.DrainUntil); ok {
-			consider(late(ft))
-		}
-		if rt, ok := c.nextResil(); ok && rt <= pc.DrainUntil {
-			consider(late(rt))
-		}
-		if pt, ok := c.nextRepace(); ok && pt <= pc.DrainUntil {
-			consider(late(pt))
+		if ticks && nextTick <= pc.TickUntil && (!have || nextTick < t) {
+			t, have = nextTick, true
 		}
 		if !have {
 			break
@@ -115,18 +62,9 @@ func (c *ShardedCluster) PlayStream(src InvocationStream, pc PlayConfig) {
 			panic(fmt.Sprintf("cluster: invocation stream not sorted: %d after %d", t, c.now))
 		}
 		c.AdvanceTo(t)
-		// Canonical boundary order: finished drains retire, fleet
-		// events fire in queue order, fault windows transition (closes
-		// before opens), settled attempts resolve (so a completion
-		// beats a same-instant timeout), resilience decisions fire,
-		// paced re-placements release, invocations route in trace
+		// Queued events fire first, then invocations route in trace
 		// order, then the memory sample and the autoscaler.
-		c.settleDrains()
-		c.fireFleetEvents(t)
-		c.fireFaultEvents(t)
-		c.resolveSettled()
-		c.fireResilEvents(t)
-		c.fireRepace(t)
+		c.fireBoundary(t)
 		for {
 			it, ok := src.Peek()
 			if !ok || it != t {

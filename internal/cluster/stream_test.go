@@ -52,6 +52,31 @@ func (s *fnStream) Next() (Invocation, bool) {
 	return s.next, true
 }
 
+// sliceStream replays a materialized, time-sorted invocation slice.
+type sliceStream []Invocation
+
+func (s *sliceStream) Peek() (sim.Time, bool) {
+	if len(*s) == 0 {
+		return 0, false
+	}
+	return (*s)[0].T, true
+}
+
+func (s *sliceStream) Next() (Invocation, bool) {
+	if len(*s) == 0 {
+		return Invocation{}, false
+	}
+	inv := (*s)[0]
+	*s = (*s)[1:]
+	return inv, true
+}
+
+// play replays a time-sorted invocation slice through PlayStream.
+func play(c *ShardedCluster, invs []Invocation, pc PlayConfig) {
+	s := sliceStream(invs)
+	c.PlayStream(&s, pc)
+}
+
 // streamRun plays a diurnally modulated fleet trace with reservoir
 // sketches on, either streamed straight from the generator cursors or
 // fully materialized first, and returns the run's fingerprint — the
@@ -93,7 +118,7 @@ func streamRun(seed uint64, shards int, exec func([]func()), materialize bool) (
 			}
 			invs = append(invs, inv)
 		}
-		c.Play(invs, pc)
+		play(c, invs, pc)
 	} else {
 		c.PlayStream(src, pc)
 	}
@@ -113,7 +138,7 @@ func streamRun(seed uint64, shards int, exec func([]func()), materialize bool) (
 // cursors, with sketched latency samples, fingerprints byte-identically
 // at shard counts {1, 2, hosts} and worker counts {1, 2, 8}, serial
 // and parallel — and identically again when the same stream is first
-// materialized into a slice and replayed through Play.
+// materialized into a slice and replayed.
 func TestStreamShardInvariance(t *testing.T) {
 	execs := []struct {
 		name string
@@ -159,7 +184,7 @@ func TestSketchResetReplay(t *testing.T) {
 		Sketch: &stats.SketchConfig{K: 128, Seed: 7},
 	}
 	replay := func(c *ShardedCluster) (uint64, string) {
-		c.Play(fleetInvs(11, 6, 25*sim.Second, 4, 20), PlayConfig{
+		play(c, fleetInvs(11, 6, 25*sim.Second, 4, 20), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(25 * sim.Second),
 			DrainUntil: sim.Time(250 * sim.Second),
 		})

@@ -2,9 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick_registry.sha256")
 
 func TestTrialSeed(t *testing.T) {
 	if TrialSeed(7, 0) != 7 {
@@ -110,7 +118,15 @@ func TestSubSeed(t *testing.T) {
 // TestFullRegistryWorkerCountDeterminism is the cross-worker-count
 // determinism guard the unified executor must uphold: the complete
 // registry — every experiment's cells plus two trials — encodes to
-// byte-identical JSON, CSV, and text at workers ∈ {1, 2, 8}.
+// byte-identical JSON, CSV, and text at workers ∈ {1, 2, 8}. The bytes
+// must also hash to testdata/quick_registry.sha256, which pins every
+// quick-protocol table across refactors. The hash is an amd64
+// reference (other architectures may fuse floating-point operations
+// differently), so it is only compared on amd64. Regenerate with
+//
+//	go test ./internal/experiments -run FullRegistry -update
+//
+// only after an intentional change to the tables.
 func TestFullRegistryWorkerCountDeterminism(t *testing.T) {
 	names := Names()
 	opts := Options{Seed: 3, Quick: true}
@@ -140,6 +156,24 @@ func TestFullRegistryWorkerCountDeterminism(t *testing.T) {
 		} else if !bytes.Equal(got, want) {
 			t.Fatalf("output at %d workers differs from 1 worker", workers)
 		}
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256(want))
+	golden := filepath.Join("testdata", "quick_registry.sha256")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Logf("registry sha256 %s (reference is amd64-only, not compared on %s)", got, runtime.GOARCH)
+		return
+	}
+	if wantHash := strings.TrimSpace(string(ref)); got != wantHash {
+		t.Fatalf("quick registry output drifted: sha256 %s, reference %s", got, wantHash)
 	}
 }
 
