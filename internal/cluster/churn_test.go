@@ -449,38 +449,3 @@ func TestFleetEventNoOps(t *testing.T) {
 		t.Fatalf("active hosts = %d, want 1", c.ActiveHosts())
 	}
 }
-
-// TestResetClearsChurnState: a churned cluster reset to a static
-// config must replay identically to a fresh one — joined hosts
-// trimmed, dead hosts revived, queues cleared.
-func TestResetClearsChurnState(t *testing.T) {
-	cost := costmodel.Default()
-	cfg := Config{Hosts: 3, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy, N: 4,
-		KeepAlive: 30 * sim.Second}
-	replay := func(c *ShardedCluster) (uint64, string) {
-		play(c, fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
-			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
-			DrainUntil: sim.Time(300 * sim.Second),
-		})
-		return c.Fired(), churnTable(c)
-	}
-	fresh := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
-	wantFired, wantTable := replay(fresh)
-
-	churned := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
-	play(churned, fleetInvs(5, 8, 20*sim.Second, 4, 24), PlayConfig{
-		TickEvery: sim.Second, TickUntil: sim.Time(20 * sim.Second),
-		DrainUntil: sim.Time(100 * sim.Second),
-		Events: []FleetEvent{
-			{T: sim.Time(5 * sim.Second), Kind: HostJoin},
-			{T: sim.Time(8 * sim.Second), Kind: HostFail, Host: -1},
-			{T: sim.Time(12 * sim.Second), Kind: HostDrain, Host: -1},
-		},
-	})
-	churned.Reset(cost, cfg, NewPolicy("reclaim-aware", cost))
-	gotFired, gotTable := replay(churned)
-	if gotFired != wantFired || gotTable != wantTable {
-		t.Fatalf("reset-after-churn replay diverges:\n%d %s\n%d %s",
-			gotFired, gotTable, wantFired, wantTable)
-	}
-}

@@ -86,10 +86,6 @@ type Node struct {
 	Sched *sim.Scheduler
 	Host  *hostmem.Host
 	RT    *faas.Runtime
-	// Rec is the host's private recycler: kernels, vmm.VMs, and FuncVM
-	// shells released by a finished run back this host's next run.
-	// Per-host arenas keep shard workers from ever sharing pool state.
-	Rec *faas.Recycler
 	// M accumulates the host's completion-side metrics. Completion
 	// callbacks run while shard workers advance the host, so they must
 	// write host-local state only; the fleet view is merged from the
@@ -189,33 +185,22 @@ func newNodeMetrics() NodeMetrics {
 	}
 }
 
-func (m *NodeMetrics) reset() {
-	m.ColdStarts, m.WarmStarts, m.Dropped, m.Failed = 0, 0, 0, 0
-	m.ColdLatMs.Reset()
-	m.WarmLatMs.Reset()
-	m.MemWaitMs.Reset()
-}
-
 // fleetSketchHost is the pseudo host ID behind the fleet-merged
 // samples' sketch streams, far above any real host the autoscaler
 // could ever join.
 const fleetSketchHost = 1 << 20
 
-// applySketch moves the metrics' samples into (or out of) reservoir
-// mode for a new run. Each sample gets a distinct priority stream
+// applySketch moves the metrics' samples into reservoir mode; a nil
+// cfg leaves them exact. Each sample gets a distinct priority stream
 // derived from (host ID, metric index) — a pure function of the
 // host's identity, so sketched runs are as shard- and worker-count
 // invariant as exact ones. Call with every sample empty: after
-// newNodeMetrics/reset, and after initPhases (which rebuilds the
-// phased samples in exact mode).
+// newNodeMetrics and initPhases.
 func (m *NodeMetrics) applySketch(cfg *stats.SketchConfig, host int) {
+	if cfg == nil {
+		return
+	}
 	apply := func(s *stats.Sample, idx uint64) {
-		if cfg == nil {
-			if s.Sketched() {
-				s.DisableSketch()
-			}
-			return
-		}
 		c := *cfg
 		c.Stream += uint64(host+1)*16 + idx
 		s.EnableSketch(c)
@@ -223,7 +208,7 @@ func (m *NodeMetrics) applySketch(cfg *stats.SketchConfig, host int) {
 	apply(m.ColdLatMs, 0)
 	apply(m.WarmLatMs, 1)
 	apply(m.MemWaitMs, 2)
-	if cfg != nil && m.ColdPhase != nil {
+	if m.ColdPhase != nil {
 		c := *cfg
 		c.Stream += uint64(host+1)*16 + 3
 		m.ColdPhase.EnableSketch(c)
@@ -232,11 +217,10 @@ func (m *NodeMetrics) applySketch(cfg *stats.SketchConfig, host int) {
 	}
 }
 
-// initPhases (re)builds the phase-split samples for the given bounds,
-// or clears them when bounds are empty.
+// initPhases builds the phase-split samples for the given bounds, or
+// leaves them nil when bounds are empty.
 func (m *NodeMetrics) initPhases(bounds []sim.Time) {
 	if len(bounds) == 0 {
-		m.ColdPhase, m.LatPhase = nil, nil
 		return
 	}
 	secs := make([]float64, len(bounds))
@@ -431,8 +415,7 @@ func (cfg Config) withDefaults() Config {
 }
 
 // NewSharded builds a fleet of cfg.Hosts identical hosts, each on its
-// own scheduler with its own recycler, with placement delegated to
-// policy.
+// own scheduler, with placement delegated to policy.
 func NewSharded(cost *costmodel.Model, cfg Config, policy Policy) *ShardedCluster {
 	c := &ShardedCluster{
 		Cost: cost, Cfg: cfg.withDefaults(), Policy: policy,
@@ -477,109 +460,18 @@ func (c *ShardedCluster) newNode(id int) *Node {
 	topo := c.Cfg.Topology
 	sched := sim.NewScheduler()
 	host := hostmem.New(topo.HostMem(id, c.Cfg.HostMemBytes))
-	rec := faas.NewRecycler()
 	rt := faas.NewRuntime(sched, host, c.Cost)
 	rt.ProactiveFactor = c.Cfg.ProactiveFactor
-	rt.Recycle = rec
 	rack := topo.RackOf(id)
 	n := &Node{
 		ID: id, Backend: c.Cfg.Backend, Rack: rack, Zone: topo.ZoneOfRack(rack),
-		Sched: sched, Host: host, RT: rt, Rec: rec,
+		Sched: sched, Host: host, RT: rt,
 		M:   newNodeMetrics(),
 		vms: make(map[string]*faas.FuncVM),
 	}
 	n.M.initPhases(c.Cfg.PhaseBounds)
 	n.M.applySketch(c.Cfg.Sketch, id)
 	return n
-}
-
-// Reset rebuilds the cluster for a new run under a (possibly
-// different) config and policy, reusing the fleet's storage: node
-// structs with their schedulers, recyclers, VM maps, and metric
-// buffers stay, each host pool is reset in place, and the previous
-// run's guest kernels, vmm.VMs, and agent shells are harvested into
-// the per-host recyclers. A reset cluster replays a run identically
-// to a freshly constructed one.
-func (c *ShardedCluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
-	c.Release()
-	c.Cost = cost
-	c.Cfg = cfg.withDefaults()
-	c.Policy = policy
-	c.now = 0
-	if len(c.Nodes) > c.Cfg.Hosts {
-		clear(c.Nodes[c.Cfg.Hosts:])
-		c.Nodes = c.Nodes[:c.Cfg.Hosts]
-	}
-	for i, n := range c.Nodes {
-		n.ID = i
-		n.Backend = c.Cfg.Backend
-		n.Rack = c.Cfg.Topology.RackOf(i)
-		n.Zone = c.Cfg.Topology.ZoneOfRack(n.Rack)
-		n.Sched.Reset()
-		n.Host.Reset(c.Cfg.Topology.HostMem(i, c.Cfg.HostMemBytes))
-		rt := faas.NewRuntime(n.Sched, n.Host, cost)
-		rt.ProactiveFactor = c.Cfg.ProactiveFactor
-		rt.Recycle = n.Rec
-		n.RT = rt
-		n.M.reset()
-		n.M.initPhases(c.Cfg.PhaseBounds)
-		n.M.applySketch(c.Cfg.Sketch, i)
-		n.state = nodeActive
-		n.partitioned = 0
-		n.Obs = nil
-		clear(n.inflight) // drop stale *flight pointers
-		n.inflight = n.inflight[:0]
-		clear(n.attempts) // drop stale *attempt pointers
-		n.attempts = n.attempts[:0]
-		clear(n.settled)
-		n.settled = n.settled[:0]
-		n.inj = nil
-		clear(n.vms)
-		clear(n.vmOrder) // drop stale *FuncVM pointers
-		n.vmOrder = n.vmOrder[:0]
-	}
-	for len(c.Nodes) < c.Cfg.Hosts {
-		c.Nodes = append(c.Nodes, c.newNode(len(c.Nodes)))
-	}
-	c.active = append(c.active[:0], c.Nodes...)
-	c.live = append(c.live[:0], c.Nodes...)
-	clear(c.bq) // drop stale *openFault/*rflight pointers
-	c.bq = c.bq[:0]
-	c.resil = c.Cfg.Resilience
-	c.horizon = false
-	c.faultSeed, c.faultsOn = 0, false
-	c.repace = c.Cfg.Repace
-	clear(c.repaceQ) // drop stale *flight/*rflight pointers
-	c.repaceQ = c.repaceQ[:0]
-	c.repaceArmed = false
-	c.obsT, c.fleetObs = nil, nil
-	c.autoscale = nil
-	c.lastScale, c.scaled = 0, false
-	c.shardsWanted = 0
-	c.shardNodes, c.shardTasks, c.drainTasks = nil, nil, nil
-	bindPolicy(policy, c)
-	m := &c.Metrics
-	m.Invocations, m.ColdStarts, m.WarmStarts, m.Dropped, m.AdmissionDrops = 0, 0, 0, 0, 0
-	m.Failed = 0
-	m.HostJoins, m.HostFails, m.HostDrains, m.Replaced, m.WarmLost = 0, 0, 0, 0, 0
-	m.RackEvents, m.Paced = 0, 0
-	m.Shed, m.Retries, m.Hedges, m.HedgeWins, m.TimedOut = 0, 0, 0, 0, 0
-	m.ColdLatMs.Reset()
-	m.WarmLatMs.Reset()
-	m.MemWaitMs.Reset()
-	m.ColdPhase, m.LatPhase = fleetPhases(c.Cfg.PhaseBounds)
-	m.applySketch(c.Cfg.Sketch)
-	m.Committed.Reset()
-	m.Populated.Reset()
-}
-
-// Release harvests every node's guest kernels, vmm.VMs, and FuncVM
-// shells into its per-host recycler. The fleet's VMs must not be used
-// afterwards; Reset calls it before rebuilding.
-func (c *ShardedCluster) Release() {
-	for _, n := range c.Nodes {
-		n.RT.Release()
-	}
 }
 
 // Now returns the dispatcher clock: the epoch boundary the fleet last
@@ -589,7 +481,7 @@ func (c *ShardedCluster) Now() sim.Time { return c.now }
 // AttachObs enables tracing into t: the fleet track records dispatcher
 // decisions on the dispatcher clock, and every host (including ones
 // that join later) gets a host track on its private scheduler. Call
-// right after NewSharded/Reset, before the run; nil detaches. The
+// right after NewSharded, before the run; nil detaches. The
 // recorders only observe — no call site reads them back — so an
 // attached trace provably never perturbs the simulation.
 func (c *ShardedCluster) AttachObs(t *obs.Trace) {

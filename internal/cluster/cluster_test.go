@@ -246,60 +246,3 @@ func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 		t.Fatal("degenerate run: nothing fired")
 	}
 }
-
-// TestResetReplaysIdentically is the reset-vs-fresh guard for the
-// fleet: a cluster reset after an unrelated run (different backend,
-// host count, and policy) must replay a workload with metrics and
-// event counts identical to a freshly constructed cluster's —
-// including the recycled kernels, vmm.VMs, and FuncVM shells the
-// per-host recyclers now hand back.
-func TestResetReplaysIdentically(t *testing.T) {
-	replay := func(c *ShardedCluster) (uint64, string) {
-		play(c, fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
-			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
-			DrainUntil: sim.Time(300 * sim.Second),
-		})
-		return c.Fired(), metricsTable(c)
-	}
-
-	cost := costmodel.Default()
-	cfg := Config{Hosts: 3, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy, N: 4,
-		KeepAlive: 30 * sim.Second}
-
-	fresh := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
-	wantFired, wantTable := replay(fresh)
-
-	// A reused cluster: run a different fleet shape first, then reset.
-	reused := NewSharded(cost, Config{
-		Hosts: 5, HostMemBytes: 16 * units.GiB, Backend: faas.VirtioMem, N: 8,
-	}, NewPolicy("round-robin", cost))
-	replay(reused)
-	reused.Reset(cost, cfg, NewPolicy("reclaim-aware", cost))
-	gotFired, gotTable := replay(reused)
-	if gotFired != wantFired || gotTable != wantTable {
-		t.Fatalf("reset cluster replay = (%d, %s), fresh = (%d, %s)",
-			gotFired, gotTable, wantFired, wantTable)
-	}
-}
-
-// TestResetHarvestsKernels verifies Reset hands the previous fleet's
-// guest-kernel arenas to the per-host recyclers so the next run can
-// reuse them.
-func TestResetHarvestsKernels(t *testing.T) {
-	cost := costmodel.Default()
-	cfg := Config{Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 10 * sim.Second}
-	c := NewSharded(cost, cfg, NewPolicy("round-robin", cost))
-	c.Invoke(workload.ByName("HTML"), nil)
-	drainFor(c, sim.Minute)
-	if c.VMCount() == 0 {
-		t.Fatal("no VM booted")
-	}
-	fv := c.Nodes[0].VMs()[0]
-	c.Reset(cost, cfg, NewPolicy("round-robin", cost))
-	if fv.K.Zones() != nil {
-		t.Fatal("Reset did not release the previous fleet's kernels")
-	}
-	if c.VMCount() != 0 || c.Metrics.Invocations != 0 {
-		t.Fatal("Reset left fleet state")
-	}
-}

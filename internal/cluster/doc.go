@@ -3,9 +3,9 @@
 // merged deterministically at dispatcher epochs.
 //
 // A ShardedCluster is N simulated hosts, each with its own
-// sim.Scheduler, hostmem.Host, faas.Runtime, reclamation backend,
-// memory broker, and recycler, fronted by a dispatcher that routes
-// invocations and places cold scale-ups through a pluggable Policy.
+// sim.Scheduler, hostmem.Host, faas.Runtime, reclamation backend, and
+// memory broker, fronted by a dispatcher that routes invocations and
+// places cold scale-ups through a pluggable Policy.
 // The split mirrors real FaaS-on-hypervisor stacks (a cluster-facing
 // gateway over per-host runtimes): host-local mechanisms decide *how*
 // memory is reclaimed, the cluster policy decides *which* host pays

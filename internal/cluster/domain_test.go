@@ -439,9 +439,9 @@ func TestTopologyAccessors(t *testing.T) {
 }
 
 // TestHeterogeneousCapacity: per-host sizes from the topology reach
-// the host memory models, the fleet capacity sum, and survive Reset —
-// the autoscaler and shed thresholds read real capacity, not hosts
-// times a uniform size.
+// the host memory models and the fleet capacity sum — the autoscaler
+// and shed thresholds read real capacity, not hosts times a uniform
+// size.
 func TestHeterogeneousCapacity(t *testing.T) {
 	cost := costmodel.Default()
 	cfg := Config{
@@ -453,29 +453,23 @@ func TestHeterogeneousCapacity(t *testing.T) {
 		},
 	}
 	c := NewSharded(cost, cfg, NewPolicy("round-robin", cost))
-	check := func(stage string) {
-		want := []int64{16 * units.GiB, 32 * units.GiB, 16 * units.GiB}
-		var sum int64
-		for i, n := range c.Nodes {
-			if got := n.Host.CapacityPages(); got != units.BytesToPages(want[i]) {
-				t.Fatalf("%s: host %d capacity %d pages, want %d",
-					stage, i, got, units.BytesToPages(want[i]))
-			}
-			sum += units.BytesToPages(want[i])
+	want := []int64{16 * units.GiB, 32 * units.GiB, 16 * units.GiB}
+	var sum int64
+	for i, n := range c.Nodes {
+		if got := n.Host.CapacityPages(); got != units.BytesToPages(want[i]) {
+			t.Fatalf("host %d capacity %d pages, want %d", i, got, units.BytesToPages(want[i]))
 		}
-		if got := c.activeCapacityPages(); got != sum {
-			t.Fatalf("%s: activeCapacityPages = %d, want %d", stage, got, sum)
-		}
+		sum += units.BytesToPages(want[i])
 	}
-	check("fresh")
-	c.Reset(cost, cfg, NewPolicy("round-robin", cost))
-	check("reset")
+	if got := c.activeCapacityPages(); got != sum {
+		t.Fatalf("activeCapacityPages = %d, want %d", got, sum)
+	}
 	// A fleet containing one unlimited host has no meaningful capacity
 	// sum: the autoscaler and shed thresholds must see 0 (disabled).
 	unl := cfg
 	unl.HostMemBytes = 0
 	unl.Topology = &Topology{Racks: 1, MemBytes: []int64{16 * units.GiB, 0}}
-	c.Reset(cost, unl, NewPolicy("round-robin", cost))
+	c = NewSharded(cost, unl, NewPolicy("round-robin", cost))
 	if got := c.activeCapacityPages(); got != 0 {
 		t.Fatalf("unlimited host: activeCapacityPages = %d, want 0", got)
 	}

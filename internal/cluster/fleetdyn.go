@@ -14,10 +14,9 @@ import (
 // churn deterministic. Nothing about a shape change depends on the
 // shard partition or the worker pool:
 //
-//   - Failure: the host's warm pool is lost, its runtime is released
-//     into its recycler (kernels, vmm.VMs, shells harvested), and its
-//     in-flight invocations re-place through the normal dispatcher
-//     tiers in routing order. The dead host's scheduler never advances
+//   - Failure: the host's warm pool is lost, and its in-flight
+//     invocations re-place through the normal dispatcher tiers in
+//     routing order. The dead host's scheduler never advances
 //     again, so the doomed first placements' completions never fire —
 //     each invocation completes exactly once, on its final host.
 //   - Drain: the host stops taking placements but keeps advancing
@@ -184,9 +183,9 @@ func (c *ShardedCluster) joinHost() *Node {
 	return n
 }
 
-// failHost kills the host abruptly: warm pool destroyed, runtime
-// released into the host's recycler, in-flight invocations re-placed
-// through the dispatcher in routing order, exactly once each.
+// failHost kills the host abruptly: warm pool destroyed, in-flight
+// invocations re-placed through the dispatcher in routing order,
+// exactly once each.
 func (c *ShardedCluster) failHost(n *Node) {
 	c.Metrics.HostFails++
 	warmLost := n.RT.IdleInstances()
@@ -250,16 +249,15 @@ func (c *ShardedCluster) settleDrains() {
 	}
 }
 
-// retire removes the host from the fleet for good: its runtime
-// releases every VM into the host's recycler (guest kernels, vmm.VMs,
-// agent shells — the same harvest a finished run performs), and its
-// scheduler never advances again, freezing any event still pending on
-// it. The shard partition is rebuilt over the surviving hosts.
+// retire removes the host from the fleet for good: its scheduler
+// never advances again, freezing any event still pending on it, and
+// its VMs die with it (a joined host is always a new Node, so nothing
+// of a retired one is ever reused). The shard partition is rebuilt
+// over the surviving hosts.
 func (c *ShardedCluster) retire(n *Node) {
 	n.state = nodeDead
 	c.active = removeNode(c.active, n)
 	c.live = removeNode(c.live, n)
-	n.RT.Release()
 	c.reshard()
 }
 

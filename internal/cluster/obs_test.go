@@ -151,8 +151,8 @@ func TestObsAutoscaleCounters(t *testing.T) {
 }
 
 // TestObsDetach: AttachObs(nil) restores the disabled path — node and
-// runtime recorders cleared — so a pooled fleet reused by an untraced
-// cell records nothing into a stale trace.
+// runtime recorders cleared — so a detached fleet records nothing
+// into a stale trace.
 func TestObsDetach(t *testing.T) {
 	c := newTestCluster(2, 0, faas.Squeezy, "round-robin")
 	tr := &obs.Trace{Experiment: "x"}

@@ -67,8 +67,8 @@ func NewPolicy(name string, cost *costmodel.Model) Policy {
 }
 
 // fleetBound is implemented by policies that score candidates against
-// fleet-wide domain state. NewSharded and Reset bind such a policy to
-// its cluster; an unbound instance falls back to scoring over the
+// fleet-wide domain state. NewSharded binds such a policy to its
+// cluster; an unbound instance falls back to scoring over the
 // candidate set alone (unit tests construct policies bare).
 type fleetBound interface{ bind(c *ShardedCluster) }
 

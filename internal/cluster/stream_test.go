@@ -171,50 +171,3 @@ func TestStreamShardInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestSketchResetReplay: a sketched cluster reset in place must replay
-// byte-identically to a fresh one (the world-pool recycling contract,
-// extended to reservoir mode), and resetting back to an exact config
-// must fully leave sketch mode.
-func TestSketchResetReplay(t *testing.T) {
-	cost := costmodel.Default()
-	cfg := Config{
-		Hosts: 3, HostMemBytes: 16 * units.GiB, Backend: faas.Squeezy,
-		N: 4, KeepAlive: 20 * sim.Second,
-		Sketch: &stats.SketchConfig{K: 128, Seed: 7},
-	}
-	replay := func(c *ShardedCluster) (uint64, string) {
-		play(c, fleetInvs(11, 6, 25*sim.Second, 4, 20), PlayConfig{
-			TickEvery: sim.Second, TickUntil: sim.Time(25 * sim.Second),
-			DrainUntil: sim.Time(250 * sim.Second),
-		})
-		m := c.Stats()
-		return c.Fired(), fmt.Sprintf("%s skfp=%x p999=%.6f",
-			metricsTable(c), m.ColdLatMs.SketchFingerprint(), m.ColdLatMs.Percentile(99.9))
-	}
-	fresh := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
-	wantFired, wantTable := replay(fresh)
-
-	reused := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
-	replay(reused) // dirty the pools with a full sketched run
-	reused.Reset(cost, cfg, NewPolicy("reclaim-aware", cost))
-	gotFired, gotTable := replay(reused)
-	if gotFired != wantFired || gotTable != wantTable {
-		t.Fatalf("sketched reset replay diverges:\n%d %s\n%d %s",
-			gotFired, gotTable, wantFired, wantTable)
-	}
-
-	// Reset to an exact config: every sample must leave reservoir mode.
-	exact := cfg
-	exact.Sketch = nil
-	reused.Reset(cost, exact, NewPolicy("reclaim-aware", cost))
-	m := reused.Stats()
-	if m.ColdLatMs.Sketched() || m.WarmLatMs.Sketched() || m.MemWaitMs.Sketched() {
-		t.Fatal("reset to an exact config left samples in sketch mode")
-	}
-	for _, n := range reused.Nodes {
-		if n.M.ColdLatMs.Sketched() {
-			t.Fatal("reset to an exact config left a host sample in sketch mode")
-		}
-	}
-}

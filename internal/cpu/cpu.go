@@ -114,26 +114,6 @@ func NewPool(sched *sim.Scheduler, cores float64) *Pool {
 	}
 }
 
-// Reset returns the pool to its just-constructed state — no jobs, no
-// accumulated usage, clock anchored at the scheduler's current time —
-// while keeping the job slice, scratch buffers, and usage map. The
-// scheduler must already be at the time the next simulation starts
-// from (a pooled world resets the scheduler first); any pending
-// completion event became stale with that reset, so the handle is
-// simply dropped.
-func (p *Pool) Reset(cores float64) {
-	if cores <= 0 {
-		panic(fmt.Sprintf("cpu: non-positive core count %v", cores))
-	}
-	p.cores = cores
-	clear(p.jobs) // drop stale *Job pointers before truncating
-	p.jobs = p.jobs[:0]
-	p.lastAdvance = p.sched.Now()
-	p.completion = sim.Event{}
-	clear(p.usage)
-	p.totalBusy = 0
-}
-
 // Cores returns the pool capacity.
 func (p *Pool) Cores() float64 { return p.cores }
 

@@ -240,45 +240,3 @@ func TestFractionalRatesConverge(t *testing.T) {
 		}
 	}
 }
-
-// TestPoolResetEquivalence runs the same job program on a fresh pool
-// and on a reset pool (after unrelated prior work) and requires
-// identical completion times and accounting.
-func TestPoolResetEquivalence(t *testing.T) {
-	program := func(s *sim.Scheduler, p *Pool) (doneAt []sim.Time, busy sim.Duration) {
-		for i := 0; i < 4; i++ {
-			w := sim.Duration(i+1) * 10 * sim.Millisecond
-			p.Submit(w, Config{Name: "j", Class: "c", Weight: float64(i + 1), Cap: 1,
-				OnDone: func() { doneAt = append(doneAt, s.Now()) }})
-		}
-		s.Run()
-		return doneAt, p.TotalBusy()
-	}
-	sf := sim.NewScheduler()
-	fresh := NewPool(sf, 2)
-	wantDone, wantBusy := program(sf, fresh)
-
-	sr := sim.NewScheduler()
-	reused := NewPool(sr, 7)
-	reused.Submit(time42, Config{Class: "old"})
-	sr.RunFor(5 * sim.Millisecond)
-	sr.Reset()
-	reused.Reset(2)
-	if reused.Active() != 0 || reused.TotalBusy() != 0 || reused.Utilization("old") != 0 {
-		t.Fatal("Reset left job or usage state")
-	}
-	gotDone, gotBusy := program(sr, reused)
-	if len(gotDone) != len(wantDone) {
-		t.Fatalf("completions: %d vs %d", len(gotDone), len(wantDone))
-	}
-	for i := range wantDone {
-		if gotDone[i] != wantDone[i] {
-			t.Fatalf("completion %d at %d on reset pool, %d on fresh", i, gotDone[i], wantDone[i])
-		}
-	}
-	if gotBusy != wantBusy {
-		t.Fatalf("busy %v vs %v", gotBusy, wantBusy)
-	}
-}
-
-const time42 = 42 * sim.Millisecond

@@ -9,6 +9,7 @@ import (
 	"squeezy/internal/hostmem"
 	"squeezy/internal/units"
 	"squeezy/internal/virtiomem"
+	"squeezy/internal/vmm"
 	"squeezy/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func ablationBatching(w *World, batched bool, bytes int64) float64 {
 	sched := w.Scheduler()
 	cost := costmodel.Default()
 	cost.BatchUnplugExits = batched
-	vm := w.VM("ablation", cost, hostmem.New(0), 4)
+	vm := vmm.New("ablation", sched, cost, hostmem.New(0), 4)
 	vm.PinReclaimThreads()
 	k := w.Kernel(vm, guestos.Config{
 		BootBytes: units.BlockSize, KernelResidentBytes: 16 * units.MiB,
@@ -69,7 +70,7 @@ func ablationCandidatePolicy(w *World, policy string) float64 {
 
 func vanillaUnplug512(w *World, cost *costmodel.Model, policy virtiomem.CandidatePolicy) float64 {
 	sched := w.Scheduler()
-	vm := w.VM("ablation", cost, hostmem.New(0), 4)
+	vm := vmm.New("ablation", sched, cost, hostmem.New(0), 4)
 	vm.PinReclaimThreads()
 	const vmBytes = 4 * units.GiB
 	k := w.Kernel(vm, guestos.Config{

@@ -217,8 +217,8 @@ func (s *traceStream) Next() (cluster.Invocation, bool) {
 // loop (never materialized — the same sequence the pre-streaming
 // GenFleet+Merge produced, byte-identical by the trace package's
 // golden-fingerprint contract). The run is a pure function of
-// (seed, fc) — the pooled world only contributes recycled storage, and
-// the epoch engine's shard count and worker placement never reach the
+// (seed, fc) — the fleet is built fresh for the cell, and the epoch
+// engine's shard count and worker placement never reach the
 // results (the cluster package's determinism contract).
 func fleetRun(w *World, seed uint64, fc fleetCfg) fleetStats {
 	cost := costmodel.Default()
@@ -345,8 +345,8 @@ type fleetCell struct {
 }
 
 // fleetPlan turns a list of fleet configurations into a cell plan: one
-// cell per configuration, each simulating its fleet on the pooled
-// world and writing its own result slot; Assemble emits the rows in
+// cell per configuration, each simulating a fresh fleet on its
+// worker's World and writing its own result slot; Assemble emits the rows in
 // enumeration order, so the table is identical at any worker count.
 // extra, when non-nil, appends run-derived lead columns after each
 // cell's static ones (cluster-scale's invocation count).

@@ -13,9 +13,9 @@
 // plan (plan.go): independent simulation cells plus an Assemble step,
 // optionally chained into data-dependent stages. The unified executor
 // (runner.go) flattens experiments × trials × stages onto one worker
-// pool; each worker owns a pooled World (world.go) whose scheduler,
-// arena caches, recycled VMs, and sharded fleet are reset — not
-// rebuilt — between cells.
+// pool; each worker owns a World (world.go) that gives every cell a
+// fresh scheduler and keeps only its guest-kernel arena cache
+// (guestos.Recycler) from cell to cell.
 //
 // Cells may decompose further at run time: a sharded fleet cell fans
 // per-host shard advances through World.Exec onto the same worker
@@ -26,8 +26,8 @@
 // # Determinism
 //
 // Workers write only pre-assigned result slots, per-trial and per-cell
-// seeds derive through SubSeed (splitmix64), pooled worlds reset to
-// fresh-equivalent state, shard tasks are order-independent, and
+// seeds derive through SubSeed (splitmix64), recycled kernel arenas
+// reset to fresh-equivalent state, shard tasks are order-independent, and
 // reports carry no timing fields — so output is byte-identical across
 // worker counts, shard counts, and serial/parallel execution, which
 // the determinism tests assert for every registered experiment.

@@ -69,7 +69,7 @@ func fig5Run(w *World, method string, instSize int64, n int) Fig5Row {
 	sched := w.Scheduler()
 	host := hostmem.New(0)
 	cost := costmodel.Default()
-	vm := w.VM("fig5", cost, host, float64(n))
+	vm := vmm.New("fig5", sched, cost, host, float64(n))
 	vm.PinReclaimThreads()
 
 	instBytes := units.AlignUp(instSize, units.BlockSize)

@@ -11,6 +11,7 @@ import (
 	"squeezy/internal/sim"
 	"squeezy/internal/units"
 	"squeezy/internal/virtiomem"
+	"squeezy/internal/vmm"
 	"squeezy/internal/workload"
 )
 
@@ -38,7 +39,7 @@ func Fig6(opts Options) *Fig6Result {
 
 // Fig6Plan is the figure as a cell plan: one cell per utilization ×
 // method point. These are the largest single worlds in the registry
-// (64 GiB spans), so the pooled ord arrays and bitmaps pay off most
+// (64 GiB spans), so the recycled ord arrays and bitmaps pay off most
 // here.
 func Fig6Plan(opts Options) *Plan {
 	vmBytes := int64(64) * units.GiB
@@ -68,7 +69,7 @@ func fig6Run(w *World, method string, vmBytes int64, utilPct int, seed uint64) f
 	host := hostmem.New(0)
 	cost := costmodel.Default()
 	cost.ZeroOnUnplug = false // isolate migrations, as the paper does
-	vm := w.VM("fig6", cost, host, 8)
+	vm := vmm.New("fig6", sched, cost, host, 8)
 	vm.PinReclaimThreads()
 	rng := rand.New(rand.NewPCG(seed, uint64(utilPct)))
 

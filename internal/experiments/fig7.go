@@ -13,6 +13,7 @@ import (
 	"squeezy/internal/sim"
 	"squeezy/internal/units"
 	"squeezy/internal/virtiomem"
+	"squeezy/internal/vmm"
 	"squeezy/internal/workload"
 )
 
@@ -106,7 +107,7 @@ func fig7Run(w *World, method string, duration sim.Duration, seed uint64) Fig7Se
 	sched := w.Scheduler()
 	host := hostmem.New(0)
 	cost := costmodel.Default()
-	vm := w.VM("fig7", cost, host, 8)
+	vm := vmm.New("fig7", sched, cost, host, 8)
 	vm.PinReclaimThreads() // dedicated guest vCPU, as in §6.1.2
 	rng := rand.New(rand.NewPCG(seed, 7))
 

@@ -59,10 +59,11 @@ func TestStreamingMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestDiurnalSketchOnPooledWorld extends the reset-vs-fresh guard to
-// sketched cells: a sketched diurnal run on a world polluted by a
+// TestDiurnalSketchOnPooledWorld checks sketched fleet cells on a used
+// World: a sketched diurnal run on a world that already ran a
 // different (exact-mode) shape must match a fresh world byte for byte,
-// proving EnableSketch/Reset recycling leaks nothing between cells.
+// and the reverse, so nothing a World carries between cells — its
+// guest-kernel arena cache — leaks into a fleet cell's results.
 func TestDiurnalSketchOnPooledWorld(t *testing.T) {
 	fc := diurnalCfg(Options{Quick: true}, faas.Squeezy)
 	want := fleetRun(newWorld(), 4, fc)

@@ -36,9 +36,9 @@ func TestFleetShardCountByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetShardsOnPooledWorld re-runs the same cell on a dirty pooled
-// world and requires identity with a fresh world — the reset-vs-fresh
-// guard for the sharded fleet's per-host schedulers and recyclers.
+// TestFleetShardsOnPooledWorld re-runs the same sharded fleet cell on
+// a World that already ran a different shape and requires identity
+// with a fresh World.
 func TestFleetShardsOnPooledWorld(t *testing.T) {
 	fc := fleetCfg{
 		policy: "headroom", backend: faas.Squeezy,

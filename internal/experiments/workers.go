@@ -8,10 +8,9 @@ import (
 )
 
 // Adaptive worker sizing: `-parallel 0` means "use the machine", but
-// every worker owns a pooled World whose arena cache grows to the
-// largest kernel it has simulated — a 64 GiB-span VM's population
-// bitmap, buddy ord span, and region counters, plus recycled vmm.VMs
-// and scheduler arenas. On memory-tight hosts, GOMAXPROCS worlds can
+// every worker owns a World whose guest-kernel arena cache grows to
+// the largest kernel it has simulated — a 64 GiB-span VM's population
+// bitmap, buddy ord span, and region counters. On memory-tight hosts, GOMAXPROCS worlds can
 // push RSS past what the box wants, so the default worker count is
 // capped by a memory budget: at most budget/WorldMemEstimateBytes
 // workers, never fewer than one. An explicit `-parallel N` is always
@@ -21,8 +20,8 @@ import (
 // a deliberately conservative upper bound for a world that has cached
 // the full protocol's largest arena set (the 64 GiB-span fig6/fig7
 // kernels dominate: ~2 MiB population bitmap, ~16 MiB buddy ord span,
-// region counters, recycled zone structs, scheduler arena, plus the
-// recycled FuncVM/vmm state of the fleet sweeps).
+// region counters, recycled zone structs, plus the live state of the
+// cell in flight).
 const WorldMemEstimateBytes = 256 << 20
 
 // AutoWorkers returns the worker count a `-parallel 0` run should use:

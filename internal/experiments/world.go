@@ -13,35 +13,28 @@ import (
 	"squeezy/internal/vmm"
 )
 
-// World is the pooled simulation state one worker hands to each cell
-// it executes. Construction of a simulation world — scheduler event
-// arenas, buddy ord spans, population bitmaps, cluster node structs,
-// FuncVM shells and their inner VMs — is a significant share of a
-// sweep cell's cost, and none of it needs to be rebuilt from scratch:
-// the World resets the previous cell's storage instead.
+// World is the per-worker state one worker hands to each cell it
+// executes. Every cell gets a fresh scheduler, and everything it builds
+// on it — VMs, runtimes, fleets — is fresh too and dies with the cell.
+// The one thing a World carries from cell to cell is its guest-kernel
+// arena cache (guestos.Recycler): buddy ord spans, population bitmaps
+// and reverse-map buckets are the dominant allocations of a sweep, and
+// building them fresh per cell is measured to double the bytes it
+// allocates. Kernels and runtimes built through the World draw from
+// that cache and hand their arenas back when the cell ends; the arena
+// reset invariants (buddy.Allocator.Reset, mem.Zone.Reset) guarantee a
+// cell runs identically on a used world and on a fresh one, so worker
+// count and cell interleaving never leak into results.
 //
-// Cells obtain their stack through the World (Scheduler, Kernel,
-// Runtime, VM, Fleet) rather than the packages' constructors;
-// everything built this way draws from the worker's pools and is
-// released back when the cell ends. The reset invariants of the
-// underlying layers (sim.Scheduler.Reset, buddy.Allocator.Reset,
-// mem.Zone.Reset, vmm.VM.Reset, cluster.ShardedCluster.Reset, ...)
-// guarantee a cell runs identically on a pooled world and on a fresh
-// one, so worker count and cell interleaving never leak into results.
-//
-// A World is owned by exactly one goroutine. Sharded fleet cells are
-// still single-owner: the shard tasks a cell fans out through Exec
-// touch the fleet's per-host state (each host with its own scheduler
-// and recycler), never the World's own pools.
+// A World is owned by exactly one goroutine. The shard tasks a sharded
+// fleet cell fans out through Exec touch only that fleet's per-host
+// state, never the World's arena cache.
 type World struct {
 	sched *sim.Scheduler
-	rec   *faas.Recycler
+	rec   *guestos.Recycler
 
 	kernels  []*guestos.Kernel
 	runtimes []*faas.Runtime
-	fleet    *cluster.ShardedCluster
-
-	vmInUse []*vmm.VM // this cell's kernel-direct VMs, retired at cell end
 
 	// par, when non-nil, runs a batch of independent sub-cell tasks on
 	// the executor's worker pool (runner.go installs it); nil runs
@@ -66,14 +59,13 @@ type World struct {
 
 // newWorld returns a fresh world, ready for its first cell.
 func newWorld() *World {
-	return &World{sched: sim.NewScheduler(), rec: faas.NewRecycler()}
+	return &World{sched: sim.NewScheduler(), rec: guestos.NewRecycler()}
 }
 
-// begin prepares the world for the next cell: the scheduler restarts
-// at virtual time zero with its arenas kept, and any per-cell
-// reporting state clears.
+// begin prepares the world for the next cell: a fresh scheduler at
+// virtual time zero, and cleared per-cell reporting state.
 func (w *World) begin() {
-	w.sched.Reset()
+	w.sched = sim.NewScheduler()
 	w.shardWalls = nil
 }
 
@@ -100,9 +92,9 @@ func (w *World) Trace() *obs.Trace {
 	return w.obsTrace
 }
 
-// endCell releases the finished cell's kernels and VMs back into the
-// worker's pools so the next cell reuses their storage, and flushes a
-// non-empty trace into the run's sink.
+// endCell releases the finished cell's guest-kernel arenas into the
+// world's cache so the next cell reuses them, and flushes a non-empty
+// trace into the run's sink.
 func (w *World) endCell() {
 	if w.obsTrace != nil && !w.obsTrace.Empty() {
 		w.obsSink.Add(w.obsTrace)
@@ -118,42 +110,23 @@ func (w *World) endCell() {
 		w.runtimes[i] = nil
 	}
 	w.runtimes = w.runtimes[:0]
-	if w.fleet != nil {
-		w.fleet.Release()
-	}
-	for i, vm := range w.vmInUse {
-		w.rec.ReleaseVM(vm)
-		w.vmInUse[i] = nil
-	}
-	w.vmInUse = w.vmInUse[:0]
 }
 
-// VM returns a virtual machine on the world's scheduler: a retired VM
-// reset in place (its cpu pools, exit counters, and accounting
-// restored to boot state) when one is spare, else a fresh one. It is
-// retired automatically when the cell ends.
-func (w *World) VM(name string, cost *costmodel.Model, host *hostmem.Host, vcpus float64) *vmm.VM {
-	vm := w.rec.AcquireVM(name, w.sched, cost, host, vcpus)
-	w.vmInUse = append(w.vmInUse, vm)
-	return vm
-}
-
-// Scheduler returns the cell's scheduler, already reset to virtual
-// time zero.
+// Scheduler returns the cell's scheduler, fresh at virtual time zero.
 func (w *World) Scheduler() *sim.Scheduler { return w.sched }
 
 // Kernel builds a guest kernel from the world's arena cache and tracks
 // it for release when the cell ends.
 func (w *World) Kernel(vm *vmm.VM, cfg guestos.Config) *guestos.Kernel {
-	cfg.Recycle = w.rec.Kernels
+	cfg.Recycle = w.rec
 	k := guestos.NewKernel(vm, cfg)
 	w.kernels = append(w.kernels, k)
 	return k
 }
 
-// Runtime builds a FaaS runtime on the world's scheduler whose VMs —
-// guest kernels, inner vmm.VMs, and agent shells — draw from the
-// worker's pool; everything is released when the cell ends.
+// Runtime builds a FaaS runtime on the world's scheduler whose VMs'
+// guest kernels draw from the world's arena cache; the arenas are
+// released when the cell ends.
 func (w *World) Runtime(host *hostmem.Host, cost *costmodel.Model) *faas.Runtime {
 	rt := faas.NewRuntime(w.sched, host, cost)
 	rt.Recycle = w.rec
@@ -164,21 +137,16 @@ func (w *World) Runtime(host *hostmem.Host, cost *costmodel.Model) *faas.Runtime
 	return rt
 }
 
-// Fleet returns a sharded fleet of the requested shape: the worker's
-// cached fleet reset in place when one exists, else a fresh one. Each
-// of the fleet's hosts runs on its own scheduler with its own
-// recycler (per-host arenas), so whichever shard worker advances a
-// host reuses that host's storage; the fleet's Exec hook is wired to
-// the world so shard tasks land on the executor's worker pool.
+// Fleet returns a fresh sharded fleet of the requested shape, with
+// its Exec hook wired to the world so shard tasks land on the
+// executor's worker pool. Each host runs on its own scheduler and
+// builds its kernels fresh: per-host state never touches the world's
+// arena cache, whichever shard worker advances it.
 func (w *World) Fleet(cost *costmodel.Model, cfg cluster.Config, policy cluster.Policy) *cluster.ShardedCluster {
-	if w.fleet == nil {
-		w.fleet = cluster.NewSharded(cost, cfg, policy)
-	} else {
-		w.fleet.Reset(cost, cfg, policy)
-	}
-	w.fleet.Exec = w.Exec
-	w.fleet.AttachObs(w.Trace())
-	return w.fleet
+	fleet := cluster.NewSharded(cost, cfg, policy)
+	fleet.Exec = w.Exec
+	fleet.AttachObs(w.Trace())
+	return fleet
 }
 
 // Exec runs independent sub-cell tasks — a sharded fleet's per-host

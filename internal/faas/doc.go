@@ -18,11 +18,10 @@
 //
 // # Pooling
 //
-// FuncVM construction is expensive relative to a short sweep cell —
-// guest-kernel arenas, a vmm.VM with its cpu pools, agent maps and
-// queues. A Recycler caches all three across runs: Runtime.AddVM
-// draws from it and FuncVM.Release returns to it, with every
-// observable field re-initialized on reuse so a recycled FuncVM is
-// indistinguishable from a fresh one. One Recycler belongs to one
-// goroutine — in the sharded fleet, to one host.
+// Only the guest kernel's arenas are pooled across runs: a Runtime (or
+// a VMConfig) given a guestos.Recycler builds each VM's kernel from it,
+// and Runtime.Release / FuncVM.Release hand the arenas back once the
+// simulation is over. The FuncVM, its vmm.VM and the agent's maps and
+// queues are built fresh for every run. One Recycler belongs to one
+// goroutine.
 package faas

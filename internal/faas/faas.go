@@ -264,12 +264,6 @@ type FuncVM struct {
 
 	pumping, pumpAgain bool
 
-	// recycle, when non-nil, is the pool this VM was built from and
-	// returns to on Release; released guards against double-release
-	// aliasing the shell into the pool twice.
-	recycle  *Recycler
-	released bool
-
 	// Metrics.
 	Latencies      map[string]*stats.Sample // per function name, ms
 	Completions    []Completion
@@ -288,15 +282,12 @@ type FuncVM struct {
 
 // NewFuncVM boots an N:1 VM on the host with the configured backend.
 func NewFuncVM(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, broker *Broker, cfg VMConfig) *FuncVM {
-	return newFuncVM(nil, sched, host, cost, broker, nil, nil, cfg)
+	return newFuncVM(sched, host, cost, broker, nil, nil, cfg)
 }
 
-// newFuncVM is NewFuncVM with an optional recycler: the agent shell and
-// the inner vmm.VM come out of the pool when possible, and the kernel
-// arenas draw from the pool's guestos cache. Every observable field is
-// (re-)initialized here, so a recycled FuncVM is indistinguishable from
-// a fresh one.
-func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, broker *Broker, recorder *obs.Recorder, faults FaultInjector, cfg VMConfig) *FuncVM {
+// newFuncVM is NewFuncVM with the runtime's trace recorder and fault
+// injector attached (both may be nil).
+func newFuncVM(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, broker *Broker, recorder *obs.Recorder, faults FaultInjector, cfg VMConfig) *FuncVM {
 	if cfg.N <= 0 {
 		panic("faas: concurrency factor must be positive")
 	}
@@ -316,55 +307,25 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 	if vcpus < 1 {
 		vcpus = 1
 	}
-	var vm *vmm.VM
-	var fv *FuncVM
-	if rec != nil {
-		vm = rec.takeVM(cfg.Name, sched, cost, host, vcpus)
-		fv = rec.takeFuncVM()
-	}
-	if vm == nil {
-		vm = vmm.New(cfg.Name, sched, cost, host, vcpus)
-	}
+	vm := vmm.New(cfg.Name, sched, cost, host, vcpus)
 	if cfg.PinReclaim {
 		vm.PinReclaimThreads()
 	}
 
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Name))
-	if fv == nil {
-		fv = &FuncVM{
-			instances: make(map[*Instance]struct{}),
-			Latencies: make(map[string]*stats.Sample),
-		}
-	} else {
-		clear(fv.instances)
-		clear(fv.Latencies)
-		clear(fv.idle)
-		fv.idle = fv.idle[:0]
-		clear(fv.queue)
-		fv.queue = fv.queue[:0]
-		fv.Completions = fv.Completions[:0]
-		fv.unplugOrigins = fv.unplugOrigins[:0]
-		fv.starting = 0
-		fv.harvestBuffer = 0
-		fv.pressureNext = false
-		fv.pumping, fv.pumpAgain = false, false
-		fv.sq, fv.vmem = nil, nil
-		fv.ColdStarts, fv.WarmStarts, fv.DroppedReqs, fv.Evictions = 0, 0, 0, 0
-		fv.FailedReqs, fv.CancelledReqs = 0, 0
-		fv.ReclaimedBytes, fv.ReclaimTime, fv.ReclaimOps = 0, 0, 0
-		fv.PlugTime, fv.PlugOps = 0, 0
+	fv := &FuncVM{
+		Cfg:       cfg,
+		Sched:     sched,
+		Broker:    broker,
+		VM:        vm,
+		obs:       recorder,
+		faults:    faults,
+		instBytes: instBytes,
+		instances: make(map[*Instance]struct{}),
+		rng:       rand.New(rand.NewPCG(h.Sum64(), 0x5a5a)),
+		Latencies: make(map[string]*stats.Sample),
 	}
-	fv.Cfg = cfg
-	fv.Sched = sched
-	fv.Broker = broker
-	fv.VM = vm
-	fv.obs = recorder
-	fv.faults = faults
-	fv.instBytes = instBytes
-	fv.rng = rand.New(rand.NewPCG(h.Sum64(), 0x5a5a))
-	fv.recycle = rec
-	fv.released = false
 
 	switch cfg.Kind {
 	case Squeezy:
@@ -414,21 +375,10 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 }
 
 // Release retires the VM's guest-kernel arenas into the recycler it
-// was configured with, and — when the FuncVM itself was built through a
-// faas.Recycler — returns the inner vmm.VM and the agent shell to that
-// pool. The VM must be dead: nothing may touch it afterwards. Release
-// is idempotent; repeated calls are no-ops.
-func (fv *FuncVM) Release() {
-	if fv.released {
-		return
-	}
-	fv.released = true
-	fv.K.Release()
-	if fv.recycle != nil {
-		fv.recycle.putVM(fv.VM)
-		fv.recycle.putFuncVM(fv)
-	}
-}
+// was configured with (VMConfig.Recycle). The VM must be dead: nothing
+// may touch it afterwards. Release is idempotent; repeated calls are
+// no-ops.
+func (fv *FuncVM) Release() { fv.K.Release() }
 
 // InstanceBytes returns the block-aligned per-instance memory size.
 func (fv *FuncVM) InstanceBytes() int64 { return fv.instBytes }

@@ -2,6 +2,7 @@ package faas
 
 import (
 	"squeezy/internal/costmodel"
+	"squeezy/internal/guestos"
 	"squeezy/internal/hostmem"
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
@@ -24,11 +25,10 @@ type Runtime struct {
 	// ahead of demand (§6.2.2).
 	ProactiveFactor float64
 
-	// Recycle, when non-nil, backs every AddVM with a shared pool: the
-	// guest kernels of this runtime's VMs build from (and, via Release,
-	// return to) its arena cache, and the FuncVM shells and inner
-	// vmm.VMs themselves are recycled through it.
-	Recycle *Recycler
+	// Recycle, when non-nil, is the guest-kernel arena cache every
+	// AddVM without its own VMConfig.Recycle builds from; Release
+	// returns the kernels' arenas to it.
+	Recycle *guestos.Recycler
 
 	// Obs, when non-nil, records the host's memory-mechanics events:
 	// pressure signals here, cold-start phases and reclaim detail in the
@@ -67,21 +67,20 @@ func NewRuntime(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model)
 }
 
 // AddVM boots a FuncVM and registers it with the runtime. With a
-// recycler attached, the VM's kernel arenas, its vmm.VM, and the agent
-// shell all come out of the pool.
+// recycler attached, the VM's kernel arenas come out of it.
 func (r *Runtime) AddVM(cfg VMConfig) *FuncVM {
-	if cfg.Recycle == nil && r.Recycle != nil {
-		cfg.Recycle = r.Recycle.Kernels
+	if cfg.Recycle == nil {
+		cfg.Recycle = r.Recycle
 	}
-	fv := newFuncVM(r.Recycle, r.Sched, r.Host, r.Cost, r.Broker, r.Obs, r.Faults, cfg)
+	fv := newFuncVM(r.Sched, r.Host, r.Cost, r.Broker, r.Obs, r.Faults, cfg)
 	r.VMs = append(r.VMs, fv)
 	return fv
 }
 
-// Release retires every VM — guest-kernel arenas, inner vmm.VMs, and
-// agent shells — into the runtime's recycler (no-op without one). Call
-// it only when the simulation is over: the runtime and its VMs must
-// not be used afterwards.
+// Release retires every VM's guest-kernel arenas into its recycler
+// (no-op without one). Call it only when the simulation is over: the
+// runtime and its VMs must not be used afterwards. Like
+// FuncVM.Release, it is idempotent.
 func (r *Runtime) Release() {
 	for _, fv := range r.VMs {
 		fv.Release()

@@ -15,8 +15,9 @@
 // is keyed by 128 MiB hotplug block, and zone occupancy questions
 // resolve through the buddy allocator's per-region free counters. A
 // Recycler caches the flat storage a kernel allocates (zone structs
-// with their buddy ord spans, bitmap words, reverse-map buckets) so
-// pooled simulation worlds rebuild kernels without reallocating; a
-// kernel built from recycled arenas behaves identically to one built
-// fresh.
+// with their buddy ord spans, bitmap words, reverse-map buckets) so a
+// worker's next cell rebuilds kernels without reallocating; a kernel
+// built from recycled arenas behaves identically to one built fresh.
+// It is the simulator's only cross-cell pool: every other layer a cell
+// builds is constructed fresh and dies with the cell.
 package guestos

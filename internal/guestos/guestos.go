@@ -118,26 +118,34 @@ type Kernel struct {
 // set instead of reconstructing it per run. Pass it via Config.Recycle
 // and hand a dead kernel's storage back with Kernel.Release.
 //
+// It is the simulator's one cross-run pool, kept because it is
+// measured to pay: building these arenas fresh per cell doubles the
+// bytes a sweep allocates. Everything else a cell builds is fresh.
+//
 // Reused storage is always reset to its freshly-constructed state
-// before it is handed out, so a kernel built from recycled arenas
-// behaves identically to one built from fresh ones. A Recycler is not
-// safe for concurrent use: each worker owns its own.
+// before it is handed out (mem.Zone.Reset, a zero-length bitmap, a
+// cleared bucket), so a kernel built from recycled arenas behaves
+// identically to one built from fresh ones. A Recycler is not safe for
+// concurrent use: each worker owns its own.
 type Recycler struct {
-	zones *mem.Pool
+	zones []*mem.Zone
 	words [][]uint64
 	rmaps []map[*Chunk]struct{}
 }
 
 // NewRecycler returns an empty recycler.
-func NewRecycler() *Recycler { return &Recycler{zones: mem.NewPool()} }
+func NewRecycler() *Recycler { return &Recycler{} }
 
-// zone hands out a pooled (or fresh) zone. A nil recycler constructs
-// fresh zones.
+// zone hands out a retired zone Reset to the requested identity, or a
+// fresh one when none is spare. A nil recycler constructs fresh zones.
 func (r *Recycler) zone(name string, kind mem.ZoneKind, start mem.PFN, npages int64) *mem.Zone {
-	if r == nil {
+	if r == nil || len(r.zones) == 0 {
 		return mem.NewZone(name, kind, start, npages)
 	}
-	return r.zones.Zone(name, kind, start, npages)
+	z := r.zones[len(r.zones)-1]
+	r.zones = r.zones[:len(r.zones)-1]
+	z.Reset(name, kind, start, npages)
+	return z
 }
 
 // takeWords hands out a recycled bitmap backing (length zero — the
@@ -166,17 +174,16 @@ func (r *Recycler) takeRmap() map[*Chunk]struct{} {
 }
 
 // Release retires the kernel's arena storage into the recycler it was
-// built with (a no-op for kernels built without one). The kernel must
-// not be used afterwards: its zones, bitmap, and reverse map now
-// belong to the recycler and will back future kernels.
+// built with (a no-op for kernels built without one, or already
+// released). The kernel must not be used afterwards: its zones,
+// bitmap, and reverse map now belong to the recycler and will back
+// future kernels.
 func (k *Kernel) Release() {
 	r := k.recycle
 	if r == nil {
 		return
 	}
-	for _, z := range k.zones {
-		r.zones.Retire(z)
-	}
+	r.zones = append(r.zones, k.zones...)
 	k.zones = nil
 	k.Normal, k.Movable, k.SharedZone = nil, nil, nil
 	if k.populated.words != nil {

@@ -19,14 +19,6 @@ func New(capacityBytes int64) *Host {
 	return &Host{capacityPages: units.BytesToPages(capacityBytes)}
 }
 
-// Reset empties the pool and re-dimensions it to a new capacity in
-// bytes (0 = unlimited), as if freshly constructed by New.
-func (h *Host) Reset(capacityBytes int64) {
-	h.capacityPages = units.BytesToPages(capacityBytes)
-	h.committedPages = 0
-	h.populatedPages = 0
-}
-
 // CapacityPages returns the capacity in pages (0 = unlimited).
 func (h *Host) CapacityPages() int64 { return h.capacityPages }
 

@@ -9,8 +9,8 @@
 // (their pages released to the buddy allocator) and offlined (isolated
 // and withdrawn) independently, exactly like memory_hotplug.c.
 //
-// Zones reset in place and recycle through a Pool keyed by geometry,
-// so pooled simulation worlds reuse one arena set — including the
-// buddy ord spans, whose sparse targeted zeroing makes resetting a
-// 64 GiB span cheap — across consecutive runs.
+// A dead zone can Reset in place to a new identity and span, reusing
+// its storage — including the buddy ord spans, whose sparse targeted
+// zeroing makes resetting a 64 GiB span cheap. guestos.Recycler is the
+// one caller: it keeps retired zones across a worker's cells.
 package mem

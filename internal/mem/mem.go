@@ -91,7 +91,7 @@ func NewZone(name string, kind ZoneKind, start PFN, npages int64) *Zone {
 // the same backing storage (buddy ord span, region counters, block
 // flags), growing only when the new span is larger. All blocks start
 // offline again, exactly as after NewZone — the reset invariant the
-// world-pooling layer depends on.
+// guest-kernel arena recycler (guestos.Recycler) depends on.
 func (z *Zone) Reset(name string, kind ZoneKind, start PFN, npages int64) {
 	if npages <= 0 {
 		panic(fmt.Sprintf("mem: zone %q has non-positive span %d", name, npages))
@@ -112,41 +112,6 @@ func (z *Zone) Reset(name string, kind ZoneKind, start PFN, npages int64) {
 		z.blockOnline = make([]bool, blocks)
 	}
 	z.onlinePages = 0
-}
-
-// Pool recycles Zone objects — and through them the buddy allocator's
-// ord spans and region counters, the dominant allocations of a large
-// guest kernel — across simulation runs. Retired zones are handed back
-// by Zone(), Reset to the requested identity. A nil *Pool is valid and
-// always constructs fresh zones, so pooling stays opt-in.
-//
-// Pool is not safe for concurrent use: each worker owns one.
-type Pool struct {
-	zones []*Zone
-}
-
-// NewPool returns an empty zone pool.
-func NewPool() *Pool { return &Pool{} }
-
-// Zone returns a zone with the given identity: a retired zone reset in
-// place when one is available, else a fresh one.
-func (p *Pool) Zone(name string, kind ZoneKind, start PFN, npages int64) *Zone {
-	if p == nil || len(p.zones) == 0 {
-		return NewZone(name, kind, start, npages)
-	}
-	z := p.zones[len(p.zones)-1]
-	p.zones = p.zones[:len(p.zones)-1]
-	z.Reset(name, kind, start, npages)
-	return z
-}
-
-// Retire hands a dead zone's storage back to the pool. The caller must
-// not use the zone afterwards.
-func (p *Pool) Retire(z *Zone) {
-	if p == nil || z == nil {
-		return
-	}
-	p.zones = append(p.zones, z)
 }
 
 // Start returns the zone's first page frame number.

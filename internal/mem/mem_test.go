@@ -240,7 +240,7 @@ func TestZoneChurnProperty(t *testing.T) {
 }
 
 // TestZoneResetEquivalence runs the same allocation program on a fresh
-// zone and on a pooled zone reset from a different identity, and
+// zone and on a used zone Reset from a different identity, and
 // requires identical chunk placement.
 func TestZoneResetEquivalence(t *testing.T) {
 	program := func(z *Zone) []PFN {
@@ -261,19 +261,14 @@ func TestZoneResetEquivalence(t *testing.T) {
 	fresh := NewZone("a", ZoneMovable, units.PagesPerBlock, 4*units.PagesPerBlock)
 	want := program(fresh)
 
-	pool := NewPool()
-	dirty := pool.Zone("b", ZoneSqueezyPrivate, 0, 8*units.PagesPerBlock)
-	for i := 0; i < dirty.Blocks(); i++ {
-		dirty.OnlineBlock(i)
+	reused := NewZone("b", ZoneSqueezyPrivate, 0, 8*units.PagesPerBlock)
+	for i := 0; i < reused.Blocks(); i++ {
+		reused.OnlineBlock(i)
 	}
 	for i := 0; i < 100; i++ {
-		dirty.AllocPage(i % 9)
+		reused.AllocPage(i % 9)
 	}
-	pool.Retire(dirty)
-	reused := pool.Zone("a", ZoneMovable, units.PagesPerBlock, 4*units.PagesPerBlock)
-	if reused != dirty {
-		t.Fatal("pool did not hand back the retired zone")
-	}
+	reused.Reset("a", ZoneMovable, units.PagesPerBlock, 4*units.PagesPerBlock)
 	got := program(reused)
 	for i := range want {
 		if got[i] != want[i] {
@@ -283,14 +278,4 @@ func TestZoneResetEquivalence(t *testing.T) {
 	if err := reused.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestNilPoolConstructsFresh checks the opt-out path.
-func TestNilPoolConstructsFresh(t *testing.T) {
-	var p *Pool
-	z := p.Zone("x", ZoneNormal, 0, units.PagesPerBlock)
-	if z == nil || z.Pages() != units.PagesPerBlock {
-		t.Fatal("nil pool did not construct a fresh zone")
-	}
-	p.Retire(z) // must not panic
 }

@@ -165,37 +165,6 @@ type Scheduler struct {
 // NewScheduler returns an empty scheduler at time zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
 
-// Reset returns the scheduler to an empty state at time zero while
-// keeping its allocated capacity — the node arena, heap storage, and
-// ring buckets — so a pooled scheduler can replay the next simulation
-// without reallocating. Pending events are discarded and their
-// outstanding Event handles go stale (Cancel and Canceled become
-// no-ops on them), exactly as if the events had already fired.
-//
-// Determinism: event ordering depends only on (timestamp, insertion
-// sequence), and Reset restores both clock and sequence to zero, so a
-// reset scheduler drives a simulation identically to a fresh one.
-func (s *Scheduler) Reset() {
-	for _, e := range s.heap {
-		s.recycle(e.idx)
-	}
-	s.heap = s.heap[:0]
-	for bi := range s.ring {
-		b := &s.ring[bi]
-		for _, e := range b.entries[b.next:] {
-			s.recycle(e.idx)
-		}
-		b.entries = b.entries[:0]
-		b.next = 0
-		b.sorted = false
-	}
-	s.ringOcc = [ringBuckets / 64]uint64{}
-	s.ringCount = 0
-	s.now = 0
-	s.seq = 0
-	s.fired = 0
-}
-
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 

@@ -380,74 +380,6 @@ func TestTwoLevelQueueOrderingProperty(t *testing.T) {
 	}
 }
 
-// TestResetReplaysIdentically is the reset-vs-fresh equivalence guard:
-// a reset scheduler must drive the same event program to the same
-// firing sequence as a freshly constructed one, including recycled
-// arena slots and ring buckets.
-func TestResetReplaysIdentically(t *testing.T) {
-	program := func(s *Scheduler) []Time {
-		var fired []Time
-		note := func() { fired = append(fired, s.Now()) }
-		// Mix near-future (ring) and far-future (heap) events, a
-		// cancellation, and nested scheduling.
-		s.At(5, note)
-		e := s.At(7, note)
-		s.At(Time(Second), func() {
-			note()
-			s.After(3*Millisecond, note)
-		})
-		s.After(2*Minute, note)
-		e.Cancel()
-		s.Run()
-		return fired
-	}
-	fresh := NewScheduler()
-	want := program(fresh)
-
-	reused := NewScheduler()
-	// Dirty the scheduler thoroughly: pending heap and ring events,
-	// cancellations, partially consumed buckets.
-	for i := 0; i < 100; i++ {
-		ev := reused.At(Time(i)*Time(Millisecond), func() {})
-		if i%3 == 0 {
-			ev.Cancel()
-		}
-		reused.At(Time(i)*Time(Minute), func() {})
-	}
-	reused.RunUntil(Time(20 * Millisecond))
-	reused.Reset()
-	if reused.Now() != 0 || reused.Len() != 0 || reused.Fired() != 0 {
-		t.Fatalf("Reset left state: now=%d len=%d fired=%d", reused.Now(), reused.Len(), reused.Fired())
-	}
-	got := program(reused)
-	if len(got) != len(want) {
-		t.Fatalf("reset scheduler fired %d events, fresh fired %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing %d at %d on reset scheduler, %d on fresh", i, got[i], want[i])
-		}
-	}
-}
-
-// TestResetStaleHandleInert verifies Event handles from before a Reset
-// cannot touch recycled records.
-func TestResetStaleHandleInert(t *testing.T) {
-	s := NewScheduler()
-	stale := s.At(10, func() {})
-	s.Reset()
-	fired := false
-	s.At(1, func() { fired = true })
-	stale.Cancel() // must not cancel the new event occupying the slot
-	if stale.Canceled() {
-		t.Fatal("stale handle reports canceled after Reset")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("event cancelled through a stale pre-Reset handle")
-	}
-}
-
 // TestRunUntilEpoch pins the epoch-advance contract: events strictly
 // before the boundary fire, events at the boundary stay pending, the
 // clock lands exactly on the boundary, and work injected at the

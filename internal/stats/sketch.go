@@ -201,9 +201,7 @@ func (sk *sketch) reset() {
 //
 // EnableSketch must be called on an empty sample (it panics otherwise:
 // retroactively sketching already-retained observations would silently
-// change results). Reset keeps the sketch configuration, so pooled
-// metrics reuse works the same as in exact mode; DisableSketch returns
-// the (empty) sample to exact mode.
+// change results). Reset keeps the sketch configuration.
 func (s *Sample) EnableSketch(cfg SketchConfig) {
 	if s.N() != 0 {
 		panic("stats: EnableSketch on a non-empty sample")
@@ -211,22 +209,7 @@ func (s *Sample) EnableSketch(cfg SketchConfig) {
 	if cfg.K <= 0 {
 		cfg.K = DefaultSketchK
 	}
-	if s.sk != nil {
-		// Reuse the pooled buffers; only the identity changes.
-		s.sk.cfg = cfg
-		s.sk.reset()
-		return
-	}
 	s.sk = &sketch{cfg: cfg}
-}
-
-// DisableSketch returns an empty sketched sample to exact mode. It
-// panics on a non-empty sample for the same reason EnableSketch does.
-func (s *Sample) DisableSketch() {
-	if s.N() != 0 {
-		panic("stats: DisableSketch on a non-empty sample")
-	}
-	s.sk = nil
 }
 
 // Sketched reports whether the sample is in reservoir mode.

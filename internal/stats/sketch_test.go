@@ -136,8 +136,8 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 }
 
 // TestSketchResetVsFresh: a reset sketched sample refilled with the
-// same observations is byte-identical to a fresh one — the world-pool
-// reuse contract, extended to reservoir mode.
+// same observations is byte-identical to a fresh one — the contract
+// cluster Stats relies on when it re-merges into reset fleet samples.
 func TestSketchResetVsFresh(t *testing.T) {
 	cfg := SketchConfig{K: 256, Seed: 5, Stream: 3}
 	feed := func(s *Sample) {
@@ -208,7 +208,6 @@ func TestSketchModeGuards(t *testing.T) {
 	sk2.Add(3)
 	expectPanic("capacity mismatch", func() { sk.Merge(&sk2) })
 
-	expectPanic("DisableSketch on non-empty", func() { sk.DisableSketch() })
 	expectPanic("Percentile(NaN)", func() { sk.Percentile(math.NaN()) })
 }
 
@@ -290,10 +289,6 @@ func TestPhasedSketch(t *testing.T) {
 	if a.Phase(0).N() != 0 || !a.Phase(0).Sketched() {
 		t.Fatal("reset must empty phases but keep sketch mode")
 	}
-	a.DisableSketch()
-	if a.Phase(0).Sketched() {
-		t.Fatal("DisableSketch left phases sketched")
-	}
 }
 
 // TestTimeSeriesReserveMultiDay: Reserve sizes both buffers even when
@@ -310,7 +305,6 @@ func TestTimeSeriesReserveMultiDay(t *testing.T) {
 	}
 	// Two simulated days at 1 s ticks.
 	n := 2*24*3600 + 1
-	ts.Reset()
 	ts.Reserve(n)
 	base := &ts.Times[:1][0]
 	for i := 0; i < n; i++ {

@@ -347,13 +347,6 @@ func (p *PhasedSample) EnableSketch(cfg SketchConfig) {
 	}
 }
 
-// DisableSketch returns every (empty) phase to exact mode.
-func (p *PhasedSample) DisableSketch() {
-	for _, s := range p.phases {
-		s.DisableSketch()
-	}
-}
-
 // Geomean returns the geometric mean of xs. Non-positive values and an
 // empty slice yield 0, matching the "undefined" convention used when a
 // speedup table contains a zero entry.
@@ -377,12 +370,6 @@ type TimeSeries struct {
 	Name   string
 	Times  []float64 // seconds
 	Values []float64
-}
-
-// Reset empties the series while keeping its buffers.
-func (ts *TimeSeries) Reset() {
-	ts.Times = ts.Times[:0]
-	ts.Values = ts.Values[:0]
 }
 
 // Reserve grows the series' capacity to hold at least n points, so a

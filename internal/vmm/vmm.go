@@ -86,25 +86,6 @@ func New(name string, sched *sim.Scheduler, cost *costmodel.Model, host *hostmem
 	}
 }
 
-// Reset re-boots the VM struct in place for a new simulation run on
-// the same scheduler: the vCPU and host-thread pools are reset (their
-// job slices, scratch buffers, and usage maps kept), exit counters
-// and population accounting cleared, and any pinned reclaim pool
-// dropped (call PinReclaimThreads again if the new run pins). The
-// scheduler must already be reset to the new run's start time. A
-// reset VM behaves identically to one built by New.
-func (vm *VM) Reset(name string, cost *costmodel.Model, host *hostmem.Host, vcpus float64) {
-	vm.Name = name
-	vm.Cost = cost
-	vm.Host = host
-	vm.VCPUs.Reset(vcpus)
-	vm.HostThreads.Reset(1)
-	vm.ReclaimPool = nil
-	clear(vm.exits)
-	vm.populatedPages = 0
-	vm.committedPages = 0
-}
-
 // GuestReclaimPool returns the pool guest reclaim kernel threads run
 // on: the dedicated ReclaimPool if pinned, otherwise the shared vCPUs.
 func (vm *VM) GuestReclaimPool() *cpu.Pool {

@@ -139,42 +139,3 @@ func TestRunChainEmpty(t *testing.T) {
 		t.Fatal("done not called for empty chain")
 	}
 }
-
-// TestVMResetEquivalence replays the same populate/release/exit
-// program on a fresh VM and on a reset one (after unrelated prior
-// work, including a pinned reclaim pool) and requires identical
-// accounting and latencies.
-func TestVMResetEquivalence(t *testing.T) {
-	program := func(s *sim.Scheduler, vm *VM) (lat sim.Duration, pop, com int64, exits int64, busy sim.Duration) {
-		if !vm.Commit(1000) {
-			t.Fatal("commit failed")
-		}
-		lat = vm.PopulatePages(600)
-		vm.ReleasePages(200)
-		vm.VCPUs.Submit(5*sim.Millisecond, cpu.Config{Class: "f"})
-		s.Run()
-		return lat, vm.PopulatedPages(), vm.CommittedPages(), vm.Exits("ept"), vm.VCPUs.TotalBusy()
-	}
-	sf := sim.NewScheduler()
-	fresh := New("vm", sf, costmodel.Default(), hostmem.New(0), 4)
-	wl, wp, wc, we, wb := program(sf, fresh)
-
-	sr := sim.NewScheduler()
-	reused := New("other", sr, costmodel.Default(), hostmem.New(0), 9)
-	reused.PinReclaimThreads()
-	reused.Commit(50)
-	reused.PopulatePages(50)
-	reused.CountExit("ept", 7)
-	reused.VCPUs.Submit(sim.Millisecond, cpu.Config{Class: "old"})
-	sr.Run()
-	sr.Reset()
-	reused.Reset("vm", costmodel.Default(), hostmem.New(0), 4)
-	if reused.ReclaimPool != nil {
-		t.Fatal("Reset kept the pinned reclaim pool")
-	}
-	gl, gp, gc, ge, gb := program(sr, reused)
-	if gl != wl || gp != wp || gc != wc || ge != we || gb != wb {
-		t.Fatalf("reset VM: lat=%v pop=%d com=%d exits=%d busy=%v; fresh: %v %d %d %d %v",
-			gl, gp, gc, ge, gb, wl, wp, wc, we, wb)
-	}
-}
