@@ -73,6 +73,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -84,6 +85,7 @@ import (
 	"squeezy/internal/experiments"
 	"squeezy/internal/fault"
 	"squeezy/internal/obs"
+	"squeezy/internal/sim"
 )
 
 // validFaultScenario accepts the empty string (fault-free), any named
@@ -126,6 +128,21 @@ func parseTopology(s string) (racks, zones int, err error) {
 		return 0, 0, fmt.Errorf("bad -topology %q (want RxZ with 1 <= Z <= R, e.g. 4x2)", s)
 	}
 	return racks, zones, nil
+}
+
+// maxTraceNs bounds a fleet trace's length: fleetRun drains to 10x the
+// trace, and that horizon must fit sim.Duration's int64 nanoseconds.
+const maxTraceNs = float64(math.MaxInt64 / 10)
+
+// checkDays validates a -days value: finite, >= 0 (0 selects the
+// experiment default), and short enough that the drain horizon does
+// not overflow — about 10,675 simulated days.
+func checkDays(days float64) error {
+	if !(days >= 0 && days*24*float64(sim.Hour) < maxTraceNs) {
+		return fmt.Errorf("bad -days %v (want a finite value in [0, %.0f])",
+			days, math.Floor(maxTraceNs/(24*float64(sim.Hour))))
+	}
+	return nil
 }
 
 // cellStatsFlag is the tri-state -cellstats value: "" (off), "text"
@@ -293,8 +310,8 @@ func main() {
 	if *simTrace != "" || *metricsPath != "" {
 		sink = &obs.Sink{}
 	}
-	if *days < 0 {
-		fmt.Fprintf(os.Stderr, "squeezyctl: bad -days %v (want >= 0)\n", *days)
+	if err := checkDays(*days); err != nil {
+		fmt.Fprintln(os.Stderr, "squeezyctl:", err)
 		os.Exit(2)
 	}
 	opts := experiments.Options{

@@ -12,8 +12,7 @@
 // functions by Zipf popularity. -csv emits machine-readable per-minute
 // counts (minute,invocations or func,minute,invocations) for plotting.
 // -events instead streams the exact-replay CSV ("func,t_ns", one row
-// per invocation) straight from the generator cursors in O(1) memory;
-// trace.OpenCSV replays either layout bit for bit.
+// per invocation) straight from the generator cursors in O(1) memory.
 package main
 
 import (

@@ -154,9 +154,6 @@ func NewManager(k *guestos.Kernel, cfg Config) *Manager {
 	return m
 }
 
-// Partitions returns all partitions in ID order.
-func (m *Manager) Partitions() []*Partition { return m.parts }
-
 // CountState returns how many partitions are in the given state.
 func (m *Manager) CountState(s PartitionState) int {
 	n := 0
@@ -409,9 +406,3 @@ func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
 // FreeReclaimable reports how many partitions are immediately
 // unpluggable.
 func (m *Manager) FreeReclaimable() int { return m.CountState(PartFree) }
-
-// PartitionOf returns the partition backing proc, if any.
-func (m *Manager) PartitionOf(proc *guestos.Process) (*Partition, bool) {
-	p, ok := m.byZone[proc.AssignedZone]
-	return p, ok
-}

@@ -35,9 +35,6 @@ func (j *Job) Done() bool { return j.done || j.cancelled }
 // Remaining returns the CPU-ns of work left.
 func (j *Job) Remaining() sim.Duration { return sim.Duration(math.Ceil(j.remaining)) }
 
-// Rate returns the number of cores currently allocated to the job.
-func (j *Job) Rate() float64 { return j.rate }
-
 // Cancel removes the job from its pool without running its completion
 // callback. Cancelling a finished job is a no-op.
 func (j *Job) Cancel() {
@@ -113,9 +110,6 @@ func NewPool(sched *sim.Scheduler, cores float64) *Pool {
 		usage:       make(map[string]float64),
 	}
 }
-
-// Cores returns the pool capacity.
-func (p *Pool) Cores() float64 { return p.cores }
 
 // Active returns the number of unfinished jobs.
 func (p *Pool) Active() int { return len(p.jobs) }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"squeezy/internal/cluster"
@@ -74,25 +75,47 @@ type fleetCfg struct {
 	sketch *stats.SketchConfig
 }
 
-// applyOptTopology overlays the options' rack/zone topology (squeezyctl
-// -topology) on a cell config. Call it before applyOptFaults so fuzzed
-// fault plans know whether rack-level kinds are drawable.
-func applyOptTopology(opts Options, fc *fleetCfg) {
-	if opts.TopoRacks <= 1 {
-		return
+// applyOpts overlays the squeezyctl fleet options on a cell config:
+// the rack/zone topology (-topology) first, so fuzzed fault plans know
+// whether rack-level kinds are drawable, then the fault scenario
+// (-faults), then sketches (-sketch). A fault overlay adds a phase
+// bound at the window start when the run has none, so the post-fault
+// tail is readable even in the static experiments.
+func applyOpts(opts Options, fc *fleetCfg) {
+	if opts.TopoRacks > 1 {
+		fc.topo = &cluster.Topology{Racks: opts.TopoRacks, Zones: max(opts.TopoZones, 1)}
 	}
-	zones := opts.TopoZones
-	if zones <= 0 {
-		zones = 1
+	if name := opts.FaultScenario; name != "" && name != "none" {
+		seed := opts.FaultSeed
+		if seed == 0 {
+			seed = opts.seed()
+		}
+		if name == "fuzz" {
+			racks := 0
+			if fc.topo != nil {
+				racks = fc.topo.Racks
+			}
+			fc.faults = fault.GenFaults(seed, fault.Config{
+				Duration: fc.duration, Events: 12, Hosts: fc.hosts, Racks: racks,
+			})
+		} else {
+			fc.faults = mustScenario(name, fc.hosts, fc.duration)
+		}
+		fc.faultSeed = seed
+		if len(fc.phases) == 0 {
+			fc.phases = []sim.Time{sim.Time(fc.duration / 2)}
+		}
 	}
-	fc.topo = &cluster.Topology{Racks: opts.TopoRacks, Zones: zones}
+	applyOptSketch(opts, fc)
 }
 
 // applyOptSketch overlays bounded-memory reservoir sketches
 // (squeezyctl -sketch) on a cell config, unless the cell already
 // configured its own. Order statistics then come from the sketch, so
 // recorded tables may differ within the documented rank-error bound;
-// the byte-identity contract holds only with sketches off.
+// the byte-identity contract holds only with sketches off. The sweeps
+// that set their own topology and faults (cluster-domains,
+// cluster-resilience) take only this overlay.
 func applyOptSketch(opts Options, fc *fleetCfg) {
 	if !opts.Sketch || fc.sketch != nil {
 		return
@@ -100,38 +123,14 @@ func applyOptSketch(opts Options, fc *fleetCfg) {
 	fc.sketch = &stats.SketchConfig{K: stats.DefaultSketchK, Seed: opts.seed()}
 }
 
-// applyOptFaults overlays the options' fault scenario (squeezyctl
-// -faults) on a cell config. Phase bounds are added at the window
-// start when the run has none, so the post-fault tail is readable even
-// in the static experiments.
-func applyOptFaults(opts Options, fc *fleetCfg) {
-	name := opts.FaultScenario
-	if name == "" || name == "none" {
-		return
+// mustScenario returns the named fault scenario's plan; an unknown
+// name is a programming error (squeezyctl validates -faults first).
+func mustScenario(name string, hosts int, duration sim.Duration) []fault.Event {
+	evs, ok := fault.Scenario(name, hosts, duration)
+	if !ok {
+		panic("experiments: unknown fault scenario " + name)
 	}
-	seed := opts.FaultSeed
-	if seed == 0 {
-		seed = opts.seed()
-	}
-	if name == "fuzz" {
-		racks := 0
-		if fc.topo != nil {
-			racks = fc.topo.Racks
-		}
-		fc.faults = fault.GenFaults(seed, fault.Config{
-			Duration: fc.duration, Events: 12, Hosts: fc.hosts, Racks: racks,
-		})
-	} else {
-		evs, ok := fault.Scenario(name, fc.hosts, fc.duration)
-		if !ok {
-			panic("experiments: unknown fault scenario " + name)
-		}
-		fc.faults = evs
-	}
-	fc.faultSeed = seed
-	if len(fc.phases) == 0 {
-		fc.phases = []sim.Time{sim.Time(fc.duration / 2)}
-	}
+	return evs
 }
 
 // fleetStats is the measured outcome of one fleet run.
@@ -320,51 +319,93 @@ func fleetScale(opts Options) (funcs int, duration sim.Duration, baseRPS, burstR
 	return 40, 180 * sim.Second, 16, 80
 }
 
-func addFleetRow(t *Table, s fleetStats, lead ...string) {
-	t.AddRow(append(lead,
-		fmt.Sprintf("%d", s.VMs),
-		fmt.Sprintf("%d", s.Cold),
-		fmt.Sprintf("%d", s.Warm),
-		f1(s.ColdP50Ms),
-		f1(s.ColdP99Ms),
-		f1(s.MemWaitP99),
-		fmt.Sprintf("%d", s.Evictions),
-		fmt.Sprintf("%d", s.Dropped),
-		fmt.Sprintf("%d", s.Unserved),
-		f2(s.MemEff),
-		f1(s.GiBs),
-	)...)
+// fleetColumns maps each fleet-table column name to its formatter.
+// Every cluster-* table is its sweep's lead columns followed by a list
+// of these names.
+var fleetColumns = map[string]func(s fleetStats) string{
+	"vms":              func(s fleetStats) string { return strconv.Itoa(s.VMs) },
+	"invocations":      func(s fleetStats) string { return strconv.Itoa(s.Invoked) },
+	"cold":             func(s fleetStats) string { return strconv.Itoa(s.Cold) },
+	"warm":             func(s fleetStats) string { return strconv.Itoa(s.Warm) },
+	"cold_p50_ms":      func(s fleetStats) string { return f1(s.ColdP50Ms) },
+	"cold_p99_ms":      func(s fleetStats) string { return f1(s.ColdP99Ms) },
+	"cold_p999_ms":     func(s fleetStats) string { return f1(s.ColdP999Ms) },
+	"warm_p99_ms":      func(s fleetStats) string { return f1(s.WarmP99Ms) },
+	"memwait_p99_ms":   func(s fleetStats) string { return f1(s.MemWaitP99) },
+	"evictions":        func(s fleetStats) string { return strconv.Itoa(s.Evictions) },
+	"dropped":          func(s fleetStats) string { return strconv.Itoa(s.Dropped) },
+	"unserved":         func(s fleetStats) string { return strconv.Itoa(s.Unserved) },
+	"mem_eff":          func(s fleetStats) string { return f2(s.MemEff) },
+	"GiB*s":            func(s fleetStats) string { return f1(s.GiBs) },
+	"joins":            func(s fleetStats) string { return strconv.Itoa(s.Joins) },
+	"fails":            func(s fleetStats) string { return strconv.Itoa(s.Fails) },
+	"host_fails":       func(s fleetStats) string { return strconv.Itoa(s.Fails) },
+	"drains":           func(s fleetStats) string { return strconv.Itoa(s.Drains) },
+	"replaced":         func(s fleetStats) string { return strconv.Itoa(s.Replaced) },
+	"warm_lost":        func(s fleetStats) string { return strconv.Itoa(s.WarmLost) },
+	"cold_pre":         func(s fleetStats) string { return strconv.Itoa(s.ColdPre) },
+	"cold_post":        func(s fleetStats) string { return strconv.Itoa(s.ColdPost) },
+	"cold_p99_pre_ms":  func(s fleetStats) string { return f1(s.ColdP99PreMs) },
+	"cold_p99_post_ms": func(s fleetStats) string { return f1(s.ColdP99PostMs) },
+	"lat_p99_post_ms":  func(s fleetStats) string { return f1(s.LatP99PostMs) },
+	"failed":           func(s fleetStats) string { return strconv.Itoa(s.Failed) },
+	"shed":             func(s fleetStats) string { return strconv.Itoa(s.Shed) },
+	"fail_pct":         func(s fleetStats) string { return pctOfInvoked(s, s.Dropped+s.Failed) },
+	"shed_pct":         func(s fleetStats) string { return pctOfInvoked(s, s.Shed) },
+	"timeouts":         func(s fleetStats) string { return strconv.Itoa(s.TimedOut) },
+	"retries":          func(s fleetStats) string { return strconv.Itoa(s.Retries) },
+	"hedges":           func(s fleetStats) string { return strconv.Itoa(s.Hedges) },
+	"hedge_wins":       func(s fleetStats) string { return strconv.Itoa(s.HedgeWins) },
+	"paced":            func(s fleetStats) string { return strconv.Itoa(s.Paced) },
 }
 
+// pctOfInvoked formats n as a percentage of the run's invocations,
+// 0.0 for a run that saw none.
+func pctOfInvoked(s fleetStats, n int) string {
+	if s.Invoked == 0 {
+		return f1(0)
+	}
+	return f1(100 * float64(n) / float64(s.Invoked))
+}
+
+// fleetCols is the steady-state column set of the static sweeps.
 var fleetCols = []string{"vms", "cold", "warm", "cold_p50_ms", "cold_p99_ms", "memwait_p99_ms", "evictions", "dropped", "unserved", "mem_eff", "GiB*s"}
 
-// fleetCell is one (config, lead-columns) pair of a fleet sweep.
+// fleetCell is one (config, lead-columns) pair of a fleet sweep. The
+// lead values, joined by "/", are the cell's label.
 type fleetCell struct {
 	fc   fleetCfg
 	lead []string
 }
 
-// fleetPlan turns a list of fleet configurations into a cell plan: one
-// cell per configuration, each simulating a fresh fleet on its
-// worker's World and writing its own result slot; Assemble emits the rows in
-// enumeration order, so the table is identical at any worker count.
-// extra, when non-nil, appends run-derived lead columns after each
-// cell's static ones (cluster-scale's invocation count).
-func fleetPlan(title string, header []string, seed uint64, cells []fleetCell, extra func(fleetStats) []string) *Plan {
+// fleetPlan turns a fleet sweep into a cell plan: one cell per
+// configuration, each simulating a fresh fleet on its worker's World
+// and writing its own result slot; Assemble emits one row per cell in
+// enumeration order — the cell's lead values, then cols resolved
+// through fleetColumns — so the table is identical at any worker
+// count. An unknown column name panics at plan time.
+func fleetPlan(title string, lead, cols []string, seed uint64, cells []fleetCell) *Plan {
+	formats := make([]func(fleetStats) string, len(cols))
+	for i, name := range cols {
+		f, ok := fleetColumns[name]
+		if !ok {
+			panic("experiments: unknown fleet column " + name)
+		}
+		formats[i] = f
+	}
 	results := make([]fleetStats, len(cells))
 	p := &Plan{Assemble: func() Result {
-		t := &Table{Title: title, Header: header}
+		t := &Table{Title: title, Header: append(append([]string{}, lead...), cols...)}
 		for i, c := range cells {
-			lead := c.lead
-			if extra != nil {
-				lead = append(append([]string{}, lead...), extra(results[i])...)
+			row := append([]string{}, c.lead...)
+			for _, f := range formats {
+				row = append(row, f(results[i]))
 			}
-			addFleetRow(t, results[i], lead...)
+			t.AddRow(row...)
 		}
 		return t
 	}}
 	for i, c := range cells {
-		i, c := i, c
 		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
 			results[i] = fleetRun(w, seed, c.fc)
 		})
@@ -392,9 +433,7 @@ func ClusterPoliciesPlan(opts Options) *Plan {
 					policy: policy, backend: backend, hosts: hosts, hostMem: hostMem,
 					funcs: funcs, duration: duration, baseRPS: baseRPS, burstRPS: burstRPS,
 				}
-				applyOptTopology(opts, &fc)
-				applyOptFaults(opts, &fc)
-				applyOptSketch(opts, &fc)
+				applyOpts(opts, &fc)
 				cells = append(cells, fleetCell{
 					fc:   fc,
 					lead: []string{policy, backend.String(), fmt.Sprintf("%d", hosts)},
@@ -404,12 +443,8 @@ func ClusterPoliciesPlan(opts Options) *Plan {
 	}
 	return fleetPlan(
 		"cluster-policies: placement policy x backend x host count under a Zipf fleet",
-		append([]string{"policy", "backend", "hosts"}, fleetCols...),
-		opts.seed(), cells, nil)
+		[]string{"policy", "backend", "hosts"}, fleetCols, opts.seed(), cells)
 }
-
-// ClusterPolicies runs the policy sweep serially.
-func ClusterPolicies(opts Options) Result { return ClusterPoliciesPlan(opts).runSerial(newWorld()) }
 
 // ClusterScalePlan grows hosts and load together (weak scaling) under
 // the reclaim-aware policy on Squeezy hosts: per-request latency
@@ -433,9 +468,7 @@ func ClusterScalePlan(opts Options) *Plan {
 			funcs: funcs, duration: duration,
 			baseRPS: perHostBase * float64(hosts), burstRPS: perHostBurst * float64(hosts),
 		}
-		applyOptTopology(opts, &fc)
-		applyOptFaults(opts, &fc)
-		applyOptSketch(opts, &fc)
+		applyOpts(opts, &fc)
 		cells = append(cells, fleetCell{
 			fc:   fc,
 			lead: []string{fmt.Sprintf("%d", hosts), fmt.Sprintf("%d", funcs)},
@@ -443,14 +476,8 @@ func ClusterScalePlan(opts Options) *Plan {
 	}
 	return fleetPlan(
 		"cluster-scale: weak scaling of the fleet (reclaim-aware, squeezy)",
-		append([]string{"hosts", "funcs", "invocations"}, fleetCols...),
-		opts.seed(), cells,
-		// The invocations column comes from the run itself.
-		func(s fleetStats) []string { return []string{fmt.Sprintf("%d", s.Invoked)} })
+		[]string{"hosts", "funcs"}, append([]string{"invocations"}, fleetCols...), opts.seed(), cells)
 }
-
-// ClusterScale runs the weak-scaling sweep serially.
-func ClusterScale(opts Options) Result { return ClusterScalePlan(opts).runSerial(newWorld()) }
 
 // ClusterOvercommitPlan fixes the fleet and shrinks per-host memory:
 // as overcommit tightens, every scale-up depends on reclaiming another
@@ -471,9 +498,7 @@ func ClusterOvercommitPlan(opts Options) *Plan {
 				policy: "reclaim-aware", backend: backend, hosts: hosts, hostMem: gib * units.GiB,
 				funcs: funcs, duration: duration, baseRPS: baseRPS, burstRPS: burstRPS,
 			}
-			applyOptTopology(opts, &fc)
-			applyOptFaults(opts, &fc)
-			applyOptSketch(opts, &fc)
+			applyOpts(opts, &fc)
 			cells = append(cells, fleetCell{
 				fc:   fc,
 				lead: []string{backend.String(), fmt.Sprintf("%d", gib)},
@@ -482,12 +507,8 @@ func ClusterOvercommitPlan(opts Options) *Plan {
 	}
 	return fleetPlan(
 		"cluster-overcommit: tightening per-host memory (reclaim-aware placement)",
-		append([]string{"backend", "host_mem_gib"}, fleetCols...),
-		opts.seed(), cells, nil)
+		[]string{"backend", "host_mem_gib"}, fleetCols, opts.seed(), cells)
 }
-
-// ClusterOvercommit runs the overcommit sweep serially.
-func ClusterOvercommit(opts Options) Result { return ClusterOvercommitPlan(opts).runSerial(newWorld()) }
 
 func init() {
 	RegisterPlan("cluster-policies", "fleet placement: policy x backend x host count over a Zipf fleet", ClusterPoliciesPlan)

@@ -52,7 +52,7 @@ func TestClusterParallelMatchesSerial(t *testing.T) {
 // cluster-policies emits a policy x backend x host-count table: every
 // combination appears exactly once.
 func TestClusterPoliciesTableShape(t *testing.T) {
-	tab := ClusterPolicies(Options{Seed: 2, Quick: true}).Table()
+	tab := ClusterPoliciesPlan(Options{Seed: 2, Quick: true}).runSerial(newWorld()).Table()
 	if got := len(tab.Header); got < 10 {
 		t.Fatalf("header has %d columns: %v", got, tab.Header)
 	}
@@ -83,7 +83,7 @@ func TestClusterPoliciesTableShape(t *testing.T) {
 // TestClusterScaleRowsGrow sanity-checks the weak-scaling sweep: hosts
 // and invocations should both grow down the table.
 func TestClusterScaleRowsGrow(t *testing.T) {
-	tab := ClusterScale(Options{Seed: 2, Quick: true}).Table()
+	tab := ClusterScalePlan(Options{Seed: 2, Quick: true}).runSerial(newWorld()).Table()
 	if len(tab.Rows) < 2 {
 		t.Fatalf("want >= 2 scale points, got %d", len(tab.Rows))
 	}
@@ -94,4 +94,30 @@ func TestClusterScaleRowsGrow(t *testing.T) {
 		}
 		prev = row[0]
 	}
+}
+
+// TestClusterOverlaysGolden pins the squeezyctl option overlays
+// (-faults, -topology, -sketch) on every cluster-* experiment: the
+// quick protocol at seed 3 under each option set must hash to
+// testdata/quick_overlays.sha256 (amd64 reference; regenerate with
+// -update only after an intentional change to the tables).
+func TestClusterOverlaysGolden(t *testing.T) {
+	names := clusterNames(t)
+	overlays := []Options{
+		{FaultScenario: "fuzz"},
+		{FaultScenario: "fuzz", TopoRacks: 4, TopoZones: 2},
+		{Sketch: true},
+	}
+	var buf bytes.Buffer
+	for _, opts := range overlays {
+		opts.Seed, opts.Quick = 3, true
+		reports, err := Run(names, opts, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodeJSON(&buf, reports); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGoldenHash(t, "quick_overlays.sha256", buf.Bytes())
 }

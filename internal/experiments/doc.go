@@ -17,6 +17,10 @@
 // fresh scheduler and keeps only its guest-kernel arena cache
 // (guestos.Recycler) from cell to cell.
 //
+// The fleet-scale cluster-* sweeps are declared as data: a list of
+// fleetCells (config plus lead columns) and a list of column names,
+// turned into a plan by the one fleetPlan (cluster.go).
+//
 // Cells may decompose further at run time: a sharded fleet cell fans
 // per-host shard advances through World.Exec onto the same worker
 // pool, where idle workers — and workers blocked in their own Exec —

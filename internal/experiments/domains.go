@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"squeezy/internal/cluster"
 	"squeezy/internal/faas"
-	"squeezy/internal/fault"
 	"squeezy/internal/sim"
 	"squeezy/internal/units"
 )
@@ -62,27 +58,6 @@ func domainScenarios() []domainScenario {
 	}
 }
 
-func addDomainRow(t *Table, s fleetStats, lead ...string) {
-	t.AddRow(append(lead,
-		fmt.Sprintf("%d", s.Cold),
-		fmt.Sprintf("%d", s.Fails),
-		fmt.Sprintf("%d", s.Replaced),
-		fmt.Sprintf("%d", s.Paced),
-		fmt.Sprintf("%d", s.WarmLost),
-		fmt.Sprintf("%d", s.Dropped),
-		fmt.Sprintf("%d", s.Shed),
-		f1(s.ColdP99PreMs),
-		f1(s.ColdP99PostMs),
-		f1(s.LatP99PostMs),
-		fmt.Sprintf("%d", s.Unserved),
-	)...)
-}
-
-var domainCols = []string{
-	"cold", "host_fails", "replaced", "paced", "warm_lost", "dropped", "shed",
-	"cold_p99_pre_ms", "cold_p99_post_ms", "lat_p99_post_ms", "unserved",
-}
-
 // ClusterDomainsPlan sweeps recovery mode × policy × backend × failure
 // shape on a topology-aware fleet. Full scale is 8 hosts in 4 racks
 // and 2 zones (16 GiB each — the same 128 GiB the resilience study
@@ -105,11 +80,7 @@ func ClusterDomainsPlan(opts Options) *Plan {
 	}
 	at := sim.Time(duration / 2)
 
-	type cellCfg struct {
-		fc   fleetCfg
-		lead []string
-	}
-	var cells []cellCfg
+	var cells []fleetCell
 	for _, mode := range domainModes() {
 		for _, policy := range policies {
 			for _, backend := range backends {
@@ -125,15 +96,11 @@ func ClusterDomainsPlan(opts Options) *Plan {
 						fc.events = sc.events(at)
 					}
 					if sc.faults != "" {
-						evs, ok := fault.Scenario(sc.faults, hosts, duration)
-						if !ok {
-							panic("experiments: unknown fault scenario " + sc.faults)
-						}
-						fc.faults = evs
+						fc.faults = mustScenario(sc.faults, hosts, duration)
 						fc.faultSeed = opts.seed()
 					}
 					applyOptSketch(opts, &fc)
-					cells = append(cells, cellCfg{
+					cells = append(cells, fleetCell{
 						fc:   fc,
 						lead: []string{mode.name, policy, backend.String(), sc.name},
 					})
@@ -141,30 +108,15 @@ func ClusterDomainsPlan(opts Options) *Plan {
 			}
 		}
 	}
-
-	seed := opts.seed()
-	results := make([]fleetStats, len(cells))
-	p := &Plan{Assemble: func() Result {
-		t := &Table{
-			Title:  "cluster-domains: failure domains vs blast-radius-aware placement (mode x policy x backend x failure)",
-			Header: append([]string{"recovery", "policy", "backend", "failure"}, domainCols...),
-		}
-		for i, c := range cells {
-			addDomainRow(t, results[i], c.lead...)
-		}
-		return t
-	}}
-	for i, c := range cells {
-		i, c := i, c
-		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
-			results[i] = fleetRun(w, seed, c.fc)
-		})
-	}
-	return p
+	return fleetPlan(
+		"cluster-domains: failure domains vs blast-radius-aware placement (mode x policy x backend x failure)",
+		[]string{"recovery", "policy", "backend", "failure"},
+		[]string{
+			"cold", "host_fails", "replaced", "paced", "warm_lost", "dropped", "shed",
+			"cold_p99_pre_ms", "cold_p99_post_ms", "lat_p99_post_ms", "unserved",
+		},
+		opts.seed(), cells)
 }
-
-// ClusterDomains runs the failure-domain sweep serially.
-func ClusterDomains(opts Options) Result { return ClusterDomainsPlan(opts).runSerial(newWorld()) }
 
 func init() {
 	RegisterPlan("cluster-domains", "failure domains: rack/zone faults vs blast-radius-aware placement and paced recovery", ClusterDomainsPlan)

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"squeezy/internal/cluster"
 	"squeezy/internal/faas"
 	"squeezy/internal/sim"
@@ -60,29 +57,6 @@ func elasticChurns() []elasticChurn {
 	}
 }
 
-func addElasticRow(t *Table, s fleetStats, lead ...string) {
-	t.AddRow(append(lead,
-		fmt.Sprintf("%d", s.Joins),
-		fmt.Sprintf("%d", s.Fails),
-		fmt.Sprintf("%d", s.Drains),
-		fmt.Sprintf("%d", s.WarmLost),
-		fmt.Sprintf("%d", s.Replaced),
-		fmt.Sprintf("%d", s.ColdPre),
-		fmt.Sprintf("%d", s.ColdPost),
-		f1(s.ColdP99PreMs),
-		f1(s.ColdP99PostMs),
-		f1(s.LatP99PostMs),
-		fmt.Sprintf("%d", s.Dropped),
-		fmt.Sprintf("%d", s.Unserved),
-	)...)
-}
-
-var elasticCols = []string{
-	"joins", "fails", "drains", "warm_lost", "replaced",
-	"cold_pre", "cold_post", "cold_p99_pre_ms", "cold_p99_post_ms",
-	"lat_p99_post_ms", "dropped", "unserved",
-}
-
 // ClusterElasticPlan sweeps policy × backend × churn profile on a
 // pressured fleet. The churn instant is mid-trace — inside the bursty
 // region — and the phase bound sits at the same time, so cold_post /
@@ -97,11 +71,7 @@ func ClusterElasticPlan(opts Options) *Plan {
 	}
 	churnAt := sim.Time(duration / 2)
 
-	type cellCfg struct {
-		fc   fleetCfg
-		lead []string
-	}
-	var cells []cellCfg
+	var cells []fleetCell
 	for _, policy := range []string{"headroom", "reclaim-aware"} {
 		for _, backend := range backends {
 			for _, churn := range elasticChurns() {
@@ -116,40 +86,24 @@ func ClusterElasticPlan(opts Options) *Plan {
 				if churn.autoscale != nil {
 					fc.autoscale = churn.autoscale(hosts)
 				}
-				applyOptTopology(opts, &fc)
-				applyOptFaults(opts, &fc)
-				applyOptSketch(opts, &fc)
-				cells = append(cells, cellCfg{
+				applyOpts(opts, &fc)
+				cells = append(cells, fleetCell{
 					fc:   fc,
 					lead: []string{policy, backend.String(), churn.name},
 				})
 			}
 		}
 	}
-
-	seed := opts.seed()
-	results := make([]fleetStats, len(cells))
-	p := &Plan{Assemble: func() Result {
-		t := &Table{
-			Title:  "cluster-elastic: fleet churn at peak (policy x backend x churn profile)",
-			Header: append([]string{"policy", "backend", "churn"}, elasticCols...),
-		}
-		for i, c := range cells {
-			addElasticRow(t, results[i], c.lead...)
-		}
-		return t
-	}}
-	for i, c := range cells {
-		i, c := i, c
-		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
-			results[i] = fleetRun(w, seed, c.fc)
-		})
-	}
-	return p
+	return fleetPlan(
+		"cluster-elastic: fleet churn at peak (policy x backend x churn profile)",
+		[]string{"policy", "backend", "churn"},
+		[]string{
+			"joins", "fails", "drains", "warm_lost", "replaced",
+			"cold_pre", "cold_post", "cold_p99_pre_ms", "cold_p99_post_ms",
+			"lat_p99_post_ms", "dropped", "unserved",
+		},
+		opts.seed(), cells)
 }
-
-// ClusterElastic runs the churn sweep serially.
-func ClusterElastic(opts Options) Result { return ClusterElasticPlan(opts).runSerial(newWorld()) }
 
 func init() {
 	RegisterPlan("cluster-elastic", "fleet churn: failure/drain at peak and autoscaling vs policy x backend", ClusterElasticPlan)

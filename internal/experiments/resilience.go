@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"squeezy/internal/cluster"
 	"squeezy/internal/faas"
 	"squeezy/internal/fault"
@@ -45,37 +42,6 @@ func resilModes() []resilMode {
 	}
 }
 
-func addResilienceRow(t *Table, s fleetStats, lead ...string) {
-	pct := func(n int) string {
-		if s.Invoked == 0 {
-			return f1(0)
-		}
-		return f1(100 * float64(n) / float64(s.Invoked))
-	}
-	t.AddRow(append(lead,
-		fmt.Sprintf("%d", s.Cold),
-		fmt.Sprintf("%d", s.Failed),
-		fmt.Sprintf("%d", s.Dropped),
-		fmt.Sprintf("%d", s.Shed),
-		pct(s.Dropped+s.Failed),
-		pct(s.Shed),
-		fmt.Sprintf("%d", s.TimedOut),
-		fmt.Sprintf("%d", s.Retries),
-		fmt.Sprintf("%d", s.Hedges),
-		fmt.Sprintf("%d", s.HedgeWins),
-		f1(s.ColdP99PreMs),
-		f1(s.ColdP99PostMs),
-		f1(s.LatP99PostMs),
-		fmt.Sprintf("%d", s.Unserved),
-	)...)
-}
-
-var resilienceCols = []string{
-	"cold", "failed", "dropped", "shed", "fail_pct", "shed_pct",
-	"timeouts", "retries", "hedges", "hedge_wins",
-	"cold_p99_pre_ms", "cold_p99_post_ms", "lat_p99_post_ms", "unserved",
-}
-
 // ClusterResiliencePlan sweeps resilience mode × backend × fault
 // scenario on a pressured fleet. Every scenario opens its windows over
 // the third quarter of the trace ([duration/2, 3·duration/4)), and the
@@ -97,58 +63,36 @@ func ClusterResiliencePlan(opts Options) *Plan {
 		backends = []faas.BackendKind{faas.Squeezy}
 	}
 
-	type cellCfg struct {
-		fc   fleetCfg
-		lead []string
-	}
-	var cells []cellCfg
+	var cells []fleetCell
 	for _, mode := range resilModes() {
 		for _, backend := range backends {
 			for _, scenario := range fault.ScenarioNames() {
-				evs, ok := fault.Scenario(scenario, hosts, duration)
-				if !ok {
-					panic("experiments: unknown fault scenario " + scenario)
-				}
 				fc := fleetCfg{
 					policy: "reclaim-aware", backend: backend, hosts: hosts, hostMem: hostMem,
 					funcs: funcs, duration: duration, baseRPS: baseRPS, burstRPS: burstRPS,
 					phases:    []sim.Time{sim.Time(duration / 2)},
-					faults:    evs,
+					faults:    mustScenario(scenario, hosts, duration),
 					faultSeed: opts.seed(),
 					resil:     mode.resil,
 				}
 				applyOptSketch(opts, &fc)
-				cells = append(cells, cellCfg{
+				cells = append(cells, fleetCell{
 					fc:   fc,
 					lead: []string{mode.name, backend.String(), scenario},
 				})
 			}
 		}
 	}
-
-	seed := opts.seed()
-	results := make([]fleetStats, len(cells))
-	p := &Plan{Assemble: func() Result {
-		t := &Table{
-			Title:  "cluster-resilience: fault scenarios vs dispatcher mitigation (mode x backend x fault)",
-			Header: append([]string{"resilience", "backend", "fault"}, resilienceCols...),
-		}
-		for i, c := range cells {
-			addResilienceRow(t, results[i], c.lead...)
-		}
-		return t
-	}}
-	for i, c := range cells {
-		i, c := i, c
-		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
-			results[i] = fleetRun(w, seed, c.fc)
-		})
-	}
-	return p
+	return fleetPlan(
+		"cluster-resilience: fault scenarios vs dispatcher mitigation (mode x backend x fault)",
+		[]string{"resilience", "backend", "fault"},
+		[]string{
+			"cold", "failed", "dropped", "shed", "fail_pct", "shed_pct",
+			"timeouts", "retries", "hedges", "hedge_wins",
+			"cold_p99_pre_ms", "cold_p99_post_ms", "lat_p99_post_ms", "unserved",
+		},
+		opts.seed(), cells)
 }
-
-// ClusterResilience runs the fault sweep serially.
-func ClusterResilience(opts Options) Result { return ClusterResiliencePlan(opts).runSerial(newWorld()) }
 
 func init() {
 	RegisterPlan("cluster-resilience", "fault injection: reclaim degradation, crashes, stragglers vs retries/hedging/shedding", ClusterResiliencePlan)

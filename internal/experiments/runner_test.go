@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/quick_registry.sha256")
+var update = flag.Bool("update", false, "rewrite the testdata/*.sha256 golden hashes")
 
 func TestTrialSeed(t *testing.T) {
 	if TrialSeed(7, 0) != 7 {
@@ -157,8 +157,17 @@ func TestFullRegistryWorkerCountDeterminism(t *testing.T) {
 			t.Fatalf("output at %d workers differs from 1 worker", workers)
 		}
 	}
-	got := fmt.Sprintf("%x", sha256.Sum256(want))
-	golden := filepath.Join("testdata", "quick_registry.sha256")
+	checkGoldenHash(t, "quick_registry.sha256", want)
+}
+
+// checkGoldenHash compares the sha256 of out to testdata/name,
+// rewriting the file first under -update. The references are amd64
+// hashes (other architectures may fuse floating-point operations
+// differently), so they are only compared on amd64.
+func checkGoldenHash(t *testing.T, name string, out []byte) {
+	t.Helper()
+	got := fmt.Sprintf("%x", sha256.Sum256(out))
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, []byte(got+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -169,11 +178,11 @@ func TestFullRegistryWorkerCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if runtime.GOARCH != "amd64" {
-		t.Logf("registry sha256 %s (reference is amd64-only, not compared on %s)", got, runtime.GOARCH)
+		t.Logf("%s: sha256 %s (reference is amd64-only, not compared on %s)", name, got, runtime.GOARCH)
 		return
 	}
 	if wantHash := strings.TrimSpace(string(ref)); got != wantHash {
-		t.Fatalf("quick registry output drifted: sha256 %s, reference %s", got, wantHash)
+		t.Fatalf("%s: output drifted: sha256 %s, reference %s", name, got, wantHash)
 	}
 }
 

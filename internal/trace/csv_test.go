@@ -2,14 +2,15 @@ package trace
 
 import (
 	"bytes"
-	"strings"
+	"encoding/csv"
+	"strconv"
 	"testing"
 
 	"squeezy/internal/sim"
 )
 
-// TestCSVEventsRoundTrip: writing a fleet stream to the events layout
-// and reading it back reproduces the stream bit for bit.
+// TestCSVEventsRoundTrip: a fleet stream written to the events layout
+// parses back, row by row, into the materialized merged fleet trace.
 func TestCSVEventsRoundTrip(t *testing.T) {
 	cfg := FleetConfig{Funcs: 8, Duration: 2 * sim.Minute, TotalBaseRPS: 4, TotalBurstRPS: 20}
 	var buf bytes.Buffer
@@ -21,88 +22,16 @@ func TestCSVEventsRoundTrip(t *testing.T) {
 	if n != len(want) {
 		t.Fatalf("wrote %d rows, want %d", n, len(want))
 	}
-	cs, err := OpenCSV(&buf)
+	recs, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
-		t.Fatalf("OpenCSV: %v", err)
+		t.Fatalf("parsing CSV: %v", err)
 	}
-	got := drain(cs)
-	if cs.Err() != nil {
-		t.Fatalf("stream error: %v", cs.Err())
+	if len(recs) != len(want)+1 || recs[0][0] != "func" || recs[0][1] != "t_ns" {
+		t.Fatalf("got %d records with header %q, want %d rows under \"func,t_ns\"", len(recs), recs[0], len(want))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("read %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: %+v vs %+v", i, got[i], want[i])
+	for i, inv := range want {
+		if got := recs[i+1]; got[0] != strconv.Itoa(inv.Func) || got[1] != strconv.FormatInt(int64(inv.T), 10) {
+			t.Fatalf("row %d: %q, want %+v", i, got, inv)
 		}
-	}
-}
-
-// TestCSVCountsExpansion: the tracegen -csv per-minute count layout
-// re-expands into evenly spaced invocations, merged across functions
-// in (time, func) order, with per-minute counts preserved.
-func TestCSVCountsExpansion(t *testing.T) {
-	in := "func,minute,invocations\n0,0,3\n0,2,1\n1,0,2\n1,1,4\n"
-	cs, err := OpenCSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("OpenCSV: %v", err)
-	}
-	got := drain(cs)
-	if cs.Err() != nil {
-		t.Fatalf("stream error: %v", cs.Err())
-	}
-	if len(got) != 10 {
-		t.Fatalf("expanded %d invocations, want 10", len(got))
-	}
-	counts := map[[2]int]int{}
-	for i, inv := range got {
-		if i > 0 && (inv.T < got[i-1].T || (inv.T == got[i-1].T && inv.Func < got[i-1].Func)) {
-			t.Fatalf("expansion not sorted at %d", i)
-		}
-		m := int(sim.Duration(inv.T) / sim.Minute)
-		counts[[2]int{inv.Func, m}]++
-	}
-	want := map[[2]int]int{{0, 0}: 3, {0, 2}: 1, {1, 0}: 2, {1, 1}: 4}
-	for k, v := range want {
-		if counts[k] != v {
-			t.Fatalf("func %d minute %d: %d invocations, want %d", k[0], k[1], counts[k], v)
-		}
-	}
-
-	// Single-trace layout: no func column, everything lands on func 0.
-	single, err := OpenCSV(strings.NewReader("minute,invocations\n0,2\n1,1\n"))
-	if err != nil {
-		t.Fatalf("OpenCSV single: %v", err)
-	}
-	sgot := drain(single)
-	if len(sgot) != 3 || sgot[0].Func != 0 {
-		t.Fatalf("single-trace expansion wrong: %+v", sgot)
-	}
-}
-
-// TestCSVErrors: malformed headers fail OpenCSV; malformed or unsorted
-// event rows surface through Err after Next returns false.
-func TestCSVErrors(t *testing.T) {
-	if _, err := OpenCSV(strings.NewReader("a,b,c,d\n")); err == nil {
-		t.Fatal("bad header accepted")
-	}
-	cs, err := OpenCSV(strings.NewReader("func,t_ns\n0,100\nx,200\n"))
-	if err != nil {
-		t.Fatalf("OpenCSV: %v", err)
-	}
-	drain(cs)
-	if cs.Err() == nil {
-		t.Fatal("malformed event row not reported")
-	}
-	cs, err = OpenCSV(strings.NewReader("func,t_ns\n0,200\n0,100\n"))
-	if err != nil {
-		t.Fatalf("OpenCSV: %v", err)
-	}
-	if got := drain(cs); len(got) != 1 || cs.Err() == nil {
-		t.Fatalf("unsorted event rows not reported (got %d rows, err %v)", len(got), cs.Err())
-	}
-	if _, err := OpenCSV(strings.NewReader("func,minute,invocations\n0,1,2\n0,1,3\n")); err == nil {
-		t.Fatal("duplicate count minute accepted")
 	}
 }

@@ -309,14 +309,3 @@ func TopTenStream(seed uint64, duration sim.Duration, i int) *Bursty {
 	b.Func = i
 	return b
 }
-
-// NewTopTenStream merges the ten top-ten cursors into one
-// (T, Func)-ordered stream, the streaming form of
-// Merge(GenTopTen(seed, duration)).
-func NewTopTenStream(seed uint64, duration sim.Duration) *FleetStream {
-	srcs := make([]Stream, 10)
-	for i := range srcs {
-		srcs[i] = TopTenStream(seed, duration, i)
-	}
-	return NewMerged(srcs)
-}

@@ -121,9 +121,9 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 5} {
 		for _, mins := range []uint64{2, 5} {
-			got := fpTraces(GenTopTen(seed, sim.Duration(mins)*sim.Minute))
+			got := fpTraces(topTen(seed, sim.Duration(mins)*sim.Minute))
 			if want := goldenTopTen[[2]uint64{seed, mins}]; got != want {
-				t.Errorf("GenTopTen seed=%d dur=%dm fingerprint %#016x, golden %#016x", seed, mins, got, want)
+				t.Errorf("top-ten seed=%d dur=%dm fingerprint %#016x, golden %#016x", seed, mins, got, want)
 			}
 		}
 	}
@@ -180,23 +180,6 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		for i := range merged {
 			if streamedFleet[i] != merged[i] {
 				t.Fatalf("round %d: fleet stream diverges at %d: %+v vs %+v", round, i, streamedFleet[i], merged[i])
-			}
-		}
-	}
-}
-
-// TestTopTenStreamMatches checks the merged top-ten stream against the
-// materialized Merge(GenTopTen(...)).
-func TestTopTenStreamMatches(t *testing.T) {
-	for _, seed := range []uint64{1, 9} {
-		merged := Merge(GenTopTen(seed, 2*sim.Minute))
-		streamed := drain(NewTopTenStream(seed, 2*sim.Minute))
-		if len(streamed) != len(merged) {
-			t.Fatalf("seed %d: %d streamed vs %d merged", seed, len(streamed), len(merged))
-		}
-		for i := range merged {
-			if streamed[i] != merged[i] {
-				t.Fatalf("seed %d: diverges at %d", seed, i)
 			}
 		}
 	}

@@ -52,24 +52,14 @@ func expDur(rng *rand.Rand, mean sim.Duration) sim.Duration {
 	return d
 }
 
-// GenTopTen synthesizes invocation traces shaped like the 10 most
-// popular functions of the Azure production traces over the given
-// duration: very high aggregate rates with per-function bursts, driving
-// the thousands of instance creations and evictions per minute that
-// Figure 2 reports.
-func GenTopTen(seed uint64, duration sim.Duration) []*Trace {
-	traces := make([]*Trace, 10)
-	for i := range traces {
-		traces[i] = TopTenTrace(seed, duration, i)
-	}
-	return traces
-}
-
 // TopTenTrace synthesizes the trace of the function at rank i (0-based)
-// of the top-10 set alone — identical to GenTopTen(seed, duration)[i],
-// without generating the other nine. Sweeps that process the top-10
-// functions as independent cells use it to keep each cell's cost
-// proportional to its own trace.
+// of a set shaped like the 10 most popular functions of the Azure
+// production traces over the given duration: very high aggregate rates
+// with per-function bursts, driving the thousands of instance creations
+// and evictions per minute that Figure 2 reports. Each rank is
+// generated alone, so sweeps that process the top-10 functions as
+// independent cells keep each cell's cost proportional to its own
+// trace.
 func TopTenTrace(seed uint64, duration sim.Duration, i int) *Trace {
 	// Popularity decays across the top-10 ranks; the busiest
 	// functions see hundreds of requests per second in bursts.

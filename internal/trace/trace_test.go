@@ -158,8 +158,17 @@ func TestCreationsAndEvictionsBalance(t *testing.T) {
 	}
 }
 
-func TestGenTopTenScale(t *testing.T) {
-	traces := GenTopTen(1, sim.Duration(2*sim.Minute))
+// topTen builds the ten top-ten ranks, one TopTenTrace each.
+func topTen(seed uint64, duration sim.Duration) []*Trace {
+	traces := make([]*Trace, 10)
+	for i := range traces {
+		traces[i] = TopTenTrace(seed, duration, i)
+	}
+	return traces
+}
+
+func TestTopTenScale(t *testing.T) {
+	traces := topTen(1, sim.Duration(2*sim.Minute))
 	if len(traces) != 10 {
 		t.Fatalf("traces = %d", len(traces))
 	}
