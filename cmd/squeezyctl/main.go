@@ -55,7 +55,7 @@
 //	             -topology 4x2), hosts assigned round-robin. Enables
 //	             the rack-level fault scenarios and makes the
 //	             blast-radius-aware policies (spread, zone-headroom)
-//	             meaningful; a bare R means Z=1
+//	             meaningful; a bare R means Z=1; R is at most 1024
 //	-sketch      collect every fleet experiment's latency samples in
 //	             bounded-memory reservoir sketches instead of exact
 //	             retained-value samples. Order statistics are then
@@ -107,6 +107,12 @@ func validFaultScenario(name string) bool {
 	return false
 }
 
+// maxRacks bounds a -topology rack count. Fleets have a few hosts per
+// rack, per-rack fault targets are drawn from [0, 2R), and every trace
+// sample emits one gauge per rack, so a larger R only overflows or
+// exhausts memory.
+const maxRacks = 1024
+
 // parseTopology parses a -topology value: "RxZ" (racks x zones) or a
 // bare "R" (one zone). "" means no topology.
 func parseTopology(s string) (racks, zones int, err error) {
@@ -124,8 +130,8 @@ func parseTopology(s string) (racks, zones int, err error) {
 	if z == "" {
 		zones = 1
 	}
-	if err != nil || racks < 1 || zones < 1 || zones > racks {
-		return 0, 0, fmt.Errorf("bad -topology %q (want RxZ with 1 <= Z <= R, e.g. 4x2)", s)
+	if err != nil || racks < 1 || racks > maxRacks || zones < 1 || zones > racks {
+		return 0, 0, fmt.Errorf("bad -topology %q (want RxZ with 1 <= Z <= R <= %d, e.g. 4x2)", s, maxRacks)
 	}
 	return racks, zones, nil
 }

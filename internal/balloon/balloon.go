@@ -24,29 +24,20 @@ type InflateResult struct {
 	Latency        sim.Duration
 }
 
-// FaultHooks degrades the balloon for fault-injection windows: a
-// non-zero ReclaimStall turns inflation slow (the completion is
-// delayed while the device stays busy), and a ReclaimFraction below 1
-// caps how much of a request is attempted.
-type FaultHooks interface {
-	ReclaimStall() sim.Duration
-	ReclaimFraction() float64
-}
-
-// Driver is the guest balloon driver of one VM.
+// Driver is the guest balloon driver of one VM. The embedded device
+// queue serializes inflations, one at a time, and its Faults field
+// injects slow and partial inflations (a stalled completion keeps the
+// device busy, so queued inflations wait behind it).
 type Driver struct {
+	vmm.Device
+
 	K *guestos.Kernel
 
 	// Obs, when non-nil, records a span per inflation and an instant per
 	// deflation; recording never alters the operation.
 	Obs *obs.Recorder
 
-	// Faults, when non-nil, injects slow and partial inflations.
-	Faults FaultHooks
-
-	proc    *guestos.Process // owns the reserved pages
-	busy    bool
-	pending []func()
+	proc *guestos.Process // owns the reserved pages
 }
 
 // New creates a balloon driver for the kernel.
@@ -57,38 +48,14 @@ func New(k *guestos.Kernel) *Driver {
 // HeldPages returns the pages currently held by the balloon.
 func (d *Driver) HeldPages() int64 { return d.proc.AnonPages() }
 
-func (d *Driver) enqueue(fn func()) {
-	if d.busy {
-		d.pending = append(d.pending, fn)
-		return
-	}
-	d.busy = true
-	fn()
-}
-
-func (d *Driver) finish() {
-	if len(d.pending) > 0 {
-		next := d.pending[0]
-		d.pending = d.pending[1:]
-		next()
-		return
-	}
-	d.busy = false
-}
-
 // Inflate reserves bytes of free guest memory and releases the backing
 // host frames. When free guest memory runs short the balloon reclaims
 // less than asked (it cannot migrate). onDone fires when the last page
 // has been reported and released.
 func (d *Driver) Inflate(bytes int64, onDone func(InflateResult)) {
-	d.enqueue(func() {
+	d.Enqueue(func() {
 		vm := d.K.VM
-		want := units.BytesToPages(bytes)
-		if d.Faults != nil {
-			if f := d.Faults.ReclaimFraction(); f < 1 {
-				want = int64(float64(want) * f)
-			}
-		}
+		want := d.Trim(units.BytesToPages(bytes))
 		chunks, got := d.K.AllocReserved(d.proc, want)
 
 		// The host releases whichever of the reserved pages were
@@ -105,7 +72,7 @@ func (d *Driver) Inflate(bytes int64, onDone func(InflateResult)) {
 		vm.CountExit("balloon-inflate", got)
 		start := vm.Sched.Now()
 		vmm.RunChain(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
-			deliver := func() {
+			d.Deliver(vm.Sched, func() {
 				res := InflateResult{
 					RequestedBytes: bytes,
 					ReclaimedBytes: units.PagesToBytes(got),
@@ -119,18 +86,9 @@ func (d *Driver) Inflate(bytes int64, onDone func(InflateResult)) {
 						obs.I("reclaimed_bytes", res.ReclaimedBytes),
 						obs.I("released_pages", res.ReleasedPages))
 				}
-				d.finish()
+				d.Finish()
 				onDone(res)
-			}
-			if d.Faults != nil {
-				// Slow inflation: the completion stalls while the device
-				// stays busy, so queued commands wait behind it.
-				if stall := d.Faults.ReclaimStall(); stall > 0 {
-					vm.Sched.After(stall, deliver)
-					return
-				}
-			}
-			deliver()
+			})
 		})
 	})
 }

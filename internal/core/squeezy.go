@@ -81,26 +81,19 @@ type Config struct {
 	SharedBytes int64
 }
 
-// FaultHooks degrades the manager's device path for fault-injection
-// windows: a non-zero ReclaimStall delays every command completion
-// (the command occupies the device queue the whole time), and a
-// ReclaimFraction below 1 caps how many partitions an unplug attempts.
-type FaultHooks interface {
-	ReclaimStall() sim.Duration
-	ReclaimFraction() float64
-}
-
 // Manager is the Squeezy memory manager extension of one guest kernel.
+// Its plug and unplug commands go through one embedded device queue,
+// whose Faults field injects stalled and partial commands (an injected
+// ReclaimFraction caps how many partitions an unplug attempts).
 type Manager struct {
+	vmm.Device
+
 	K   *guestos.Kernel
 	Cfg Config
 
 	// Obs, when non-nil, records a span per plug/unplug command;
 	// recording never alters the command.
 	Obs *obs.Recorder
-
-	// Faults, when non-nil, injects stalled and partial commands.
-	Faults FaultHooks
 
 	Shared *mem.Zone
 	parts  []*Partition
@@ -109,9 +102,6 @@ type Manager struct {
 	// waitq holds Attach requests that arrived before a populated
 	// partition was available (§4.1, "Squeezy waitqueue").
 	waitq []waiter
-
-	busy    bool
-	pending []func()
 }
 
 type waiter struct {
@@ -170,44 +160,12 @@ func (m *Manager) PartitionBlocks() int64 {
 	return units.BytesToBlocks(units.AlignUp(m.Cfg.PartitionBytes, units.BlockSize))
 }
 
-func (m *Manager) enqueue(fn func()) {
-	if m.busy {
-		m.pending = append(m.pending, fn)
-		return
-	}
-	m.busy = true
-	fn()
-}
-
-func (m *Manager) finish() {
-	if len(m.pending) > 0 {
-		next := m.pending[0]
-		m.pending = m.pending[1:]
-		next()
-		return
-	}
-	m.busy = false
-}
-
-// deliver completes a command, imposing the injected stall first; the
-// stall happens inside the device's busy window, so queued commands
-// wait behind it and the runtime's ReclaimDrainTimeout can fire.
-func (m *Manager) deliver(fn func()) {
-	if m.Faults != nil {
-		if stall := m.Faults.ReclaimStall(); stall > 0 {
-			m.K.VM.Sched.After(stall, fn)
-			return
-		}
-	}
-	fn()
-}
-
 // Plug populates nParts empty partitions with hotplugged memory
 // (triggered by the hypervisor on a scale-up event, Figure 4 step 2).
 // onDone receives how many partitions were populated once the memory is
 // online; waiting Attach calls are then served in FIFO order.
 func (m *Manager) Plug(nParts int, onDone func(plugged int)) {
-	m.enqueue(func() {
+	m.Enqueue(func() {
 		vm := m.K.VM
 		var plugged []*Partition
 		for _, p := range m.parts {
@@ -238,7 +196,7 @@ func (m *Manager) Plug(nParts int, onDone func(plugged int)) {
 		}
 		start := vm.Sched.Now()
 		vmm.RunChain(vm.Sched, steps, func(_ *stats.Breakdown, _ sim.Duration) {
-			m.deliver(func() {
+			m.Deliver(vm.Sched, func() {
 				for _, p := range plugged {
 					p.state = PartFree
 				}
@@ -246,7 +204,7 @@ func (m *Manager) Plug(nParts int, onDone func(plugged int)) {
 					m.Obs.Span("squeezy/plug", obs.CatMemory, start,
 						obs.I("partitions", int64(len(plugged))), obs.I("blocks", blocks))
 				}
-				m.finish()
+				m.Finish()
 				m.wakeWaiters()
 				onDone(len(plugged))
 			})
@@ -333,15 +291,9 @@ func (m *Manager) onExit(proc *guestos.Process) {
 // zeroing (Figure 4 step 6). onDone receives the result once the host
 // has madvise()d the frames away.
 func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
-	m.enqueue(func() {
+	m.Enqueue(func() {
 		vm := m.K.VM
-		if m.Faults != nil {
-			if f := m.Faults.ReclaimFraction(); f < 1 {
-				// Partial command: the degraded device attempts only a
-				// fraction of the request (possibly none of it).
-				nParts = int(float64(nParts) * f)
-			}
-		}
+		nParts = int(m.Trim(int64(nParts)))
 		var victims []*Partition
 		for _, p := range m.parts {
 			if len(victims) >= nParts {
@@ -378,7 +330,7 @@ func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
 		req := int64(nParts) * m.PartitionBlocks() * units.BlockSize
 		cmdStart := vm.Sched.Now()
 		vmm.RunChain(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
-			m.deliver(func() {
+			m.Deliver(vm.Sched, func() {
 				for _, p := range victims {
 					for i := 0; i < p.Zone.Blocks(); i++ {
 						start, count := p.Zone.BlockRange(i)
@@ -391,7 +343,7 @@ func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
 						obs.I("requested_bytes", req), obs.I("reclaimed_bytes", reclaimed),
 						obs.I("blocks", blocks))
 				}
-				m.finish()
+				m.Finish()
 				onDone(UnplugResult{
 					RequestedBytes: req,
 					ReclaimedBytes: reclaimed,

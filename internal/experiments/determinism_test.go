@@ -10,32 +10,32 @@ import (
 // experiments) may differ.
 
 func TestFig5Deterministic(t *testing.T) {
-	a := Fig5(Options{Quick: true, Seed: 7})
-	b := Fig5(Options{Quick: true, Seed: 7})
+	a := Fig5Plan(Options{Quick: true, Seed: 7}).runSerial(newWorld()).(*Fig5Result)
+	b := Fig5Plan(Options{Quick: true, Seed: 7}).runSerial(newWorld()).(*Fig5Result)
 	if !reflect.DeepEqual(a.Rows, b.Rows) {
 		t.Fatal("Fig5 not deterministic for equal seeds")
 	}
 }
 
 func TestFig6Deterministic(t *testing.T) {
-	a := Fig6(Options{Quick: true, Seed: 5})
-	b := Fig6(Options{Quick: true, Seed: 5})
+	a := Fig6Plan(Options{Quick: true, Seed: 5}).runSerial(newWorld()).(*Fig6Result)
+	b := Fig6Plan(Options{Quick: true, Seed: 5}).runSerial(newWorld()).(*Fig6Result)
 	if !reflect.DeepEqual(a.Points, b.Points) {
 		t.Fatal("Fig6 not deterministic for equal seeds")
 	}
 }
 
 func TestFig8Deterministic(t *testing.T) {
-	a := Fig8(Options{Quick: true, Seed: 3})
-	b := Fig8(Options{Quick: true, Seed: 3})
+	a := Fig8Plan(Options{Quick: true, Seed: 3}).runSerial(newWorld()).(*Fig8Result)
+	b := Fig8Plan(Options{Quick: true, Seed: 3}).runSerial(newWorld()).(*Fig8Result)
 	if !reflect.DeepEqual(a.Rows, b.Rows) {
 		t.Fatal("Fig8 not deterministic for equal seeds")
 	}
 }
 
 func TestFig2SeedSensitivity(t *testing.T) {
-	a := Fig2(Options{Quick: true, Seed: 1})
-	b := Fig2(Options{Quick: true, Seed: 2})
+	a := Fig2Plan(Options{Quick: true, Seed: 1}).runSerial(newWorld()).(*Fig2Result)
+	b := Fig2Plan(Options{Quick: true, Seed: 2}).runSerial(newWorld()).(*Fig2Result)
 	if reflect.DeepEqual(a.Points, b.Points) {
 		t.Fatal("different seeds produced identical churn — generator ignores the seed")
 	}

@@ -20,16 +20,13 @@ type Fig1Result struct {
 	Instances stats.TimeSeries
 }
 
-// Fig1 reproduces Figure 1: a 50:1 VM without memory elasticity serves
-// a bursty, real-world-shaped trace. The guest's allocated memory
-// follows the load down after keep-alive evictions, but the host's
-// populated memory never shrinks — the idle-memory pathology motivating
-// the paper.
-func Fig1(opts Options) *Fig1Result {
-	return Fig1Plan(opts).runSerial(newWorld()).(*Fig1Result)
-}
-
-// Fig1Plan is Fig1 as a cell plan: one simulation, one cell.
+// Fig1Plan reproduces Figure 1: a 50:1 VM without memory elasticity
+// serves a bursty, real-world-shaped trace. The guest's allocated
+// memory follows the load down after keep-alive evictions, but the
+// host's populated memory never shrinks — the idle-memory pathology
+// motivating the paper.
+//
+// One simulation, one cell.
 func Fig1Plan(opts Options) *Plan {
 	res := &Fig1Result{}
 	p := &Plan{Assemble: func() Result { return res }}

@@ -36,22 +36,19 @@ type Fig10Result struct {
 	Runs      []Fig10Run
 }
 
-// Fig10 reproduces §6.2.2 / Figure 10. Four N:1 VMs (one per Table 1
-// function) serve staggered bursts sized so that scale-ups must reuse
-// memory reclaimed from other functions' idle instances. With the host
-// capped below the Abundant-Memory peak, slow reclamation stalls
-// scale-ups and inflates tail latency (vanilla virtio-mem ≈3.15x);
-// HarvestVM's buffers help latency but hold extra memory; Squeezy keeps
-// both tail latency (≈1.1x) and the memory integral low.
-func Fig10(opts Options) *Fig10Result {
-	return Fig10Plan(opts).runSerial(newWorld()).(*Fig10Result)
-}
-
-// Fig10Plan is the figure as a two-stage cell plan. The restricted
-// runs depend on data from the abundant runs — the host cap is half
-// the abundant peak — so the plan uses a Then continuation: stage one
-// simulates the three abundant baselines in parallel, stage two the
-// three capped runs.
+// Fig10Plan reproduces §6.2.2 / Figure 10. Four N:1 VMs (one per
+// Table 1 function) serve staggered bursts sized so that scale-ups
+// must reuse memory reclaimed from other functions' idle instances.
+// With the host capped below the Abundant-Memory peak, slow
+// reclamation stalls scale-ups and inflates tail latency (vanilla
+// virtio-mem ≈3.15x); HarvestVM's buffers help latency but hold extra
+// memory; Squeezy keeps both tail latency (≈1.1x) and the memory
+// integral low.
+//
+// The plan has two stages. The restricted runs depend on data from
+// the abundant runs — the host cap is half the abundant peak — so the
+// plan uses a Then continuation: stage one simulates the three
+// abundant baselines in parallel, stage two the three capped runs.
 func Fig10Plan(opts Options) *Plan {
 	// The protocol needs the full two burst waves to build memory
 	// pressure, so Quick does not shrink this experiment (it runs in

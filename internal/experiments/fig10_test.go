@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestFig10Shape(t *testing.T) {
-	res := Fig10(Options{Quick: true})
+	res := Fig10Plan(Options{Quick: true}).runSerial(newWorld()).(*Fig10Result)
 	// Every method completed its requests (or close to it).
 	for _, run := range res.Runs {
 		if run.Dropped > 5 {

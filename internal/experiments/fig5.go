@@ -33,17 +33,13 @@ type Fig5Result struct {
 	Rows []Fig5Row
 }
 
-// Fig5 reproduces §6.1.1 / Figure 5: a 32:1 VM fully occupied by 32
-// memhog instances; instances are killed iteratively and after each
-// kill the host reclaims one instance's worth of memory. The reported
-// latency is the average over the 32 reclamation steps, per memory
-// size and interface.
-func Fig5(opts Options) *Fig5Result {
-	return Fig5Plan(opts).runSerial(newWorld()).(*Fig5Result)
-}
-
-// Fig5Plan is the figure as a cell plan: one cell per size × method
-// combination.
+// Fig5Plan reproduces §6.1.1 / Figure 5: a 32:1 VM fully occupied by
+// 32 memhog instances; instances are killed iteratively and after
+// each kill the host reclaims one instance's worth of memory. The
+// reported latency is the average over the 32 reclamation steps, per
+// memory size and interface.
+//
+// The plan has one cell per size × method combination.
 func Fig5Plan(opts Options) *Plan {
 	sizes := []int64{128, 256, 512, 1024, 2048}
 	instances := 32

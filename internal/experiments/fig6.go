@@ -28,19 +28,15 @@ type Fig6Result struct {
 	Points []Fig6Point
 }
 
-// Fig6 reproduces §6.1.1 / Figure 6: reclaim 2 GiB out of a 64 GiB VM
-// while the rest of the memory fills with memhog instances. Page
-// zeroing is disabled for vanilla virtio-mem, as in the paper, to
-// isolate the migration effect. Vanilla latency climbs (and jitters)
-// with utilization; Squeezy stays flat at ≈125 ms.
-func Fig6(opts Options) *Fig6Result {
-	return Fig6Plan(opts).runSerial(newWorld()).(*Fig6Result)
-}
-
-// Fig6Plan is the figure as a cell plan: one cell per utilization ×
-// method point. These are the largest single worlds in the registry
-// (64 GiB spans), so the recycled ord arrays and bitmaps pay off most
-// here.
+// Fig6Plan reproduces §6.1.1 / Figure 6: reclaim 2 GiB out of a
+// 64 GiB VM while the rest of the memory fills with memhog instances.
+// Page zeroing is disabled for vanilla virtio-mem, as in the paper,
+// to isolate the migration effect. Vanilla latency climbs (and
+// jitters) with utilization; Squeezy stays flat at ≈125 ms.
+//
+// The plan has one cell per utilization × method point. These are the
+// largest single worlds in the registry (64 GiB spans), so the
+// recycled ord arrays and bitmaps pay off most here.
 func Fig6Plan(opts Options) *Plan {
 	vmBytes := int64(64) * units.GiB
 	utils := []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}

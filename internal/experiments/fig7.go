@@ -69,17 +69,14 @@ type Fig7Result struct {
 	Series []Fig7Series
 }
 
-// Fig7 reproduces §6.1.2 / Figure 7: with reclaim kernel threads pinned
-// to a dedicated vCPU and the VMM threads to a dedicated host core,
-// repeatedly reclaim (and return) 512 MiB of guest memory for 200
-// seconds and sample both threads' CPU utilization once per second.
-// Ballooning spikes the host thread, vanilla virtio-mem burns the guest
-// vCPU on migrations, Squeezy uses almost nothing.
-func Fig7(opts Options) *Fig7Result {
-	return Fig7Plan(opts).runSerial(newWorld()).(*Fig7Result)
-}
-
-// Fig7Plan is the figure as a cell plan: one cell per method.
+// Fig7Plan reproduces §6.1.2 / Figure 7: with reclaim kernel threads
+// pinned to a dedicated vCPU and the VMM threads to a dedicated host
+// core, repeatedly reclaim (and return) 512 MiB of guest memory for
+// 200 seconds and sample both threads' CPU utilization once per
+// second. Ballooning spikes the host thread, vanilla virtio-mem burns
+// the guest vCPU on migrations, Squeezy uses almost nothing.
+//
+// The plan has one cell per method.
 func Fig7Plan(opts Options) *Plan {
 	duration := 200 * sim.Second
 	if opts.Quick {

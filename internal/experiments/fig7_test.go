@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestFig7Shape(t *testing.T) {
-	res := Fig7(Options{Quick: true})
+	res := Fig7Plan(Options{Quick: true}).runSerial(newWorld()).(*Fig7Result)
 	byM := map[string]Fig7Series{}
 	for _, s := range res.Series {
 		byM[s.Method] = s

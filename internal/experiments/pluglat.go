@@ -28,13 +28,9 @@ type PlugLatencyResult struct {
 	Rows []PlugLatencyRow
 }
 
-// PlugLatency reproduces the §6.2.1 scale-up study.
-func PlugLatency(opts Options) *PlugLatencyResult {
-	return PlugLatencyPlan(opts).runSerial(newWorld()).(*PlugLatencyResult)
-}
-
-// PlugLatencyPlan is the study as a cell plan: two cells per function,
-// one per backend.
+// PlugLatencyPlan reproduces the §6.2.1 scale-up study.
+//
+// The plan has two cells per function, one per backend.
 func PlugLatencyPlan(opts Options) *Plan {
 	fns := workload.Functions()
 	res := &PlugLatencyResult{Rows: make([]PlugLatencyRow, len(fns))}

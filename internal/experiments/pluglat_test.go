@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestPlugLatency(t *testing.T) {
-	res := PlugLatency(Options{})
+	res := PlugLatencyPlan(Options{}).runSerial(newWorld()).(*PlugLatencyResult)
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

@@ -218,14 +218,13 @@ func (cfg VMConfig) BootFootprintBytes() int64 {
 // FaultInjector is the host's fault-injection window state, consulted
 // at decision points (fault.Injector implements it). FailCold and
 // CrashExec are probabilistic draws from the host's deterministic
-// decision stream; ReclaimStall and ReclaimFraction are passed through
-// to the reclaim backends, whose FaultHooks interfaces this one
-// subsumes.
+// decision stream; the embedded vmm.FaultHooks (ReclaimStall and
+// ReclaimFraction) is passed through to the reclaim backends' shared
+// device queue.
 type FaultInjector interface {
 	FailCold() bool
 	CrashExec() bool
-	ReclaimStall() sim.Duration
-	ReclaimFraction() float64
+	vmm.FaultHooks
 }
 
 // FuncVM is one N:1 VM with its in-guest agent state.

@@ -10,9 +10,9 @@
 // The scheduler is built for the dense timer traffic a fleet simulation
 // generates (per-request completions, keep-alives, retry timers):
 // event records live in a recycled arena instead of being heap-allocated
-// per event, cancelled events are dropped lazily when they reach the
-// front of the queue, and a coarse near-future bucket ring absorbs the
-// events that fire within the next ~268 ms so the binary heap only sees
-// far-out timers. None of this changes observable ordering: events fire
-// strictly by (timestamp, insertion sequence).
+// per event, pending events wait in one binary heap keyed inline by
+// (timestamp, insertion sequence), and cancelled events are dropped
+// lazily when they reach the front of the queue. None of this changes
+// observable ordering: events fire strictly by (timestamp, insertion
+// sequence).
 package sim

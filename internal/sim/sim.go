@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-	"slices"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since the start of the
 // simulation.
@@ -112,8 +108,8 @@ type node struct {
 }
 
 // heapEntry is the queue-resident form of a pending event: ordering
-// keys inline (no pointer chase during sift or sort) plus the arena
-// index of its node.
+// keys inline (no pointer chase during sift) plus the arena index of
+// its node.
 type heapEntry struct {
 	when Time
 	seq  uint64
@@ -127,23 +123,6 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// Near-future bucket ring geometry: 256 buckets of 2^20 ns (~1.05 ms)
-// cover ~268 ms ahead of the clock. Events inside the horizon go to
-// their bucket; events beyond it go to the binary heap. Buckets are
-// sorted by (when, seq) when they are first inspected, so ordering is
-// identical to a single global priority queue.
-const (
-	ringShift   = 20
-	ringBuckets = 256
-	ringMask    = ringBuckets - 1
-)
-
-type bucket struct {
-	entries []heapEntry
-	next    int  // consumed prefix of entries
-	sorted  bool // entries[next:] is sorted by (when, seq)
-}
-
 // Scheduler is a deterministic discrete-event scheduler over virtual
 // time. The zero value is ready to use. Scheduler is not safe for
 // concurrent use; the simulation is single-threaded by design.
@@ -155,11 +134,7 @@ type Scheduler struct {
 	nodes []node  // event record arena
 	free  []int32 // recycled arena slots
 
-	heap []heapEntry // far-future events, min-heap by (when, seq)
-
-	ring      [ringBuckets]bucket
-	ringOcc   [ringBuckets / 64]uint64 // non-empty bucket bitmap
-	ringCount int                      // entries across all buckets
+	heap []heapEntry // pending events, min-heap by (when, seq)
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -169,7 +144,7 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 func (s *Scheduler) Now() Time { return s.now }
 
 // Len returns the number of pending (possibly cancelled) events.
-func (s *Scheduler) Len() int { return len(s.heap) + s.ringCount }
+func (s *Scheduler) Len() int { return len(s.heap) }
 
 // Fired returns the total number of events that have fired.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -197,11 +172,7 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 	n.canceled = false
 	e := heapEntry{when: t, seq: s.seq, idx: idx}
 	s.seq++
-	if int64(t)>>ringShift-int64(s.now)>>ringShift < ringBuckets {
-		s.ringInsert(e)
-	} else {
-		s.heapPush(e)
-	}
+	s.heapPush(e)
 	return Event{s: s, idx: idx, gen: n.gen, when: t}
 }
 
@@ -325,9 +296,9 @@ func (s *Scheduler) NextEventTime() (Time, bool) {
 }
 
 // next returns the earliest live event, dropping cancelled events that
-// have reached the front of either queue. With consume it also removes
-// the returned event — unless the event is after limit, in which case
-// it is left queued and ok is false.
+// have reached the front of the queue. With consume it also removes the
+// returned event — unless the event is after limit, in which case it is
+// left queued and ok is false.
 func (s *Scheduler) next(consume bool, limit Time) (heapEntry, bool) {
 	// Drop cancelled heads lazily — no heap churn beyond the pop the
 	// entry would have cost anyway, and no churn at Cancel time.
@@ -335,130 +306,17 @@ func (s *Scheduler) next(consume bool, limit Time) (heapEntry, bool) {
 		s.recycle(s.heap[0].idx)
 		s.heapPop()
 	}
-	rb, re, rok := s.ringHead()
-	hok := len(s.heap) > 0
-	switch {
-	case !rok && !hok:
+	if len(s.heap) == 0 || s.heap[0].when > limit {
 		return heapEntry{}, false
-	case rok && (!hok || entryLess(re, s.heap[0])):
-		if re.when > limit {
-			return heapEntry{}, false
-		}
-		if consume {
-			rb.next++
-			s.ringCount--
-			s.ringMaybeReset(rb, re.when)
-		}
-		return re, true
-	default:
-		e := s.heap[0]
-		if e.when > limit {
-			return heapEntry{}, false
-		}
-		if consume {
-			s.heapPop()
-		}
-		return e, true
 	}
-}
-
-// --- near-future bucket ring ---
-
-func (s *Scheduler) ringInsert(e heapEntry) {
-	bi := int(int64(e.when)>>ringShift) & ringMask
-	b := &s.ring[bi]
-	if b.sorted {
-		// The bucket has already been inspected and ordered; keep the
-		// live suffix sorted by (when, seq).
-		lo, hi := b.next, len(b.entries)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if entryLess(b.entries[mid], e) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		b.entries = append(b.entries, heapEntry{})
-		copy(b.entries[lo+1:], b.entries[lo:])
-		b.entries[lo] = e
-	} else {
-		b.entries = append(b.entries, e)
+	e := s.heap[0]
+	if consume {
+		s.heapPop()
 	}
-	s.ringOcc[bi/64] |= 1 << (bi % 64)
-	s.ringCount++
+	return e, true
 }
 
-// ringHead finds the earliest live ring entry, sorting its bucket on
-// first inspection and discarding cancelled entries it walks past.
-func (s *Scheduler) ringHead() (*bucket, heapEntry, bool) {
-	if s.ringCount == 0 {
-		return nil, heapEntry{}, false
-	}
-	start := int(int64(s.now)>>ringShift) & ringMask
-	for scanned := 0; scanned < ringBuckets; {
-		bi := (start + scanned) & ringMask
-		word := s.ringOcc[bi/64] >> (bi % 64)
-		if word == 0 {
-			// Skip the rest of this bitmap word in one step.
-			scanned += 64 - bi%64
-			continue
-		}
-		skip := bits.TrailingZeros64(word)
-		scanned += skip
-		if scanned >= ringBuckets {
-			break
-		}
-		bi = (start + scanned) & ringMask
-		b := &s.ring[bi]
-		if !b.sorted {
-			sortEntries(b.entries)
-			b.sorted = true
-		}
-		for b.next < len(b.entries) {
-			e := b.entries[b.next]
-			if !s.nodes[e.idx].canceled {
-				return b, e, true
-			}
-			s.recycle(e.idx)
-			b.next++
-			s.ringCount--
-		}
-		s.resetBucket(b, bi)
-		if s.ringCount == 0 {
-			break
-		}
-		scanned++
-	}
-	return nil, heapEntry{}, false
-}
-
-// ringMaybeReset clears a bucket whose entries are fully consumed.
-func (s *Scheduler) ringMaybeReset(b *bucket, when Time) {
-	if b.next >= len(b.entries) {
-		s.resetBucket(b, int(int64(when)>>ringShift)&ringMask)
-	}
-}
-
-func (s *Scheduler) resetBucket(b *bucket, bi int) {
-	b.entries = b.entries[:0]
-	b.next = 0
-	b.sorted = false
-	s.ringOcc[bi/64] &^= 1 << (bi % 64)
-}
-
-// sortEntries orders entries by (when, seq). seq is unique, so the key
-// is a total order and an unstable sort cannot perturb firing order.
-func sortEntries(es []heapEntry) {
-	slices.SortFunc(es, func(a, b heapEntry) int {
-		if entryLess(a, b) {
-			return -1
-		}
-		return 1
-	})
-}
-
-// --- far-future binary heap ---
+// --- binary heap ---
 
 func (s *Scheduler) heapPush(e heapEntry) {
 	h := append(s.heap, e)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -148,39 +149,63 @@ func TestNextEventTime(t *testing.T) {
 	}
 }
 
-// Property: regardless of insertion order, events fire sorted by
-// timestamp, and ties fire in insertion order.
+// Property: regardless of insertion order, the uncancelled events fire
+// sorted by timestamp and ties fire in insertion order — exactly a
+// stable sort of the schedule by time. Each schedule mixes timestamps
+// drawn from a narrow range (uint16, so ties are common) with
+// timestamps spread across seconds, and cancels a random quarter.
 func TestOrderingProperty(t *testing.T) {
-	f := func(seed uint64, raw []uint16) bool {
-		if len(raw) > 200 {
-			raw = raw[:200]
-		}
-		rng := rand.New(rand.NewPCG(seed, 1))
+	f := func(seed uint64, near []uint16, far []uint32) bool {
+		rng := rand.New(rand.NewPCG(seed, 2))
 		s := NewScheduler()
 		type rec struct {
 			when Time
 			seq  int
 		}
-		var fired []rec
-		for i, v := range raw {
-			when := Time(v)
-			i := i
-			s.At(when, func() { fired = append(fired, rec{when, i}) })
+		var fired, want []rec
+		var evs []Event
+		schedule := func(when Time) {
+			r := rec{when, len(want)}
+			evs = append(evs, s.At(when, func() { fired = append(fired, r) }))
+			want = append(want, r)
 		}
-		_ = rng
+		// Interleave the two ranges so ties and far timers alternate in
+		// insertion order.
+		for i := 0; i < max(len(near), len(far)); i++ {
+			if i < len(near) {
+				schedule(Time(near[i]))
+			}
+			if i < len(far) {
+				schedule(Time(far[i] % 3_000_000_000))
+			}
+		}
+		cancelled := make(map[int]bool)
+		for i := range evs {
+			if rng.IntN(4) == 0 {
+				evs[i].Cancel()
+				cancelled[i] = true
+			}
+		}
 		s.Run()
-		if len(fired) != len(raw) {
+		kept := want[:0]
+		for _, r := range want {
+			if !cancelled[r.seq] {
+				kept = append(kept, r)
+			}
+		}
+		want = kept
+		sort.SliceStable(want, func(a, b int) bool { return want[a].when < want[b].when })
+		if len(fired) != len(want) || s.Fired() != uint64(len(want)) {
 			return false
 		}
-		ok := sort.SliceIsSorted(fired, func(a, b int) bool {
-			if fired[a].when != fired[b].when {
-				return fired[a].when < fired[b].when
+		for i := range want {
+			if fired[i] != want[i] {
+				return false
 			}
-			return fired[a].seq < fired[b].seq
-		})
-		return ok
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
@@ -216,19 +241,17 @@ func TestTimeArithmetic(t *testing.T) {
 }
 
 // Cancelled events must be dropped lazily when they reach the front of
-// the queue — never fired, never counted — whether they sit in the
-// near-future ring or the far-future heap.
+// the queue — never fired, never counted, but pending until then.
 func TestCancelThenPopLazyDrop(t *testing.T) {
 	s := NewScheduler()
 	var fired []int
 	var evs []Event
-	// Mix near (ring) and far (heap) events.
 	for i, d := range []Duration{Millisecond, 2 * Millisecond, Second, 2 * Second} {
 		i := i
 		evs = append(evs, s.After(d, func() { fired = append(fired, i) }))
 	}
-	evs[1].Cancel() // ring-resident
-	evs[2].Cancel() // heap-resident
+	evs[1].Cancel()
+	evs[2].Cancel()
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d before pop, want 4 (cancelled events pending until popped)", s.Len())
 	}
@@ -325,61 +348,6 @@ func TestCancelOwnHandleInsideCallback(t *testing.T) {
 	}
 }
 
-// Property: the two-level queue (bucket ring + heap) fires any mix of
-// near, far, and cancelled events in exactly (timestamp, insertion)
-// order — byte-compatible with a single global priority queue.
-func TestTwoLevelQueueOrderingProperty(t *testing.T) {
-	f := func(seed uint64, raw []uint32) bool {
-		if len(raw) > 300 {
-			raw = raw[:300]
-		}
-		rng := rand.New(rand.NewPCG(seed, 2))
-		s := NewScheduler()
-		type rec struct {
-			when Time
-			seq  int
-		}
-		var fired, want []rec
-		var evs []Event
-		for i, v := range raw {
-			// Spread timestamps across ring granules and far beyond the
-			// ring horizon so both queues participate.
-			when := Time(v % 3_000_000_000)
-			i := i
-			evs = append(evs, s.At(when, func() { fired = append(fired, rec{when, i}) }))
-			want = append(want, rec{when, i})
-		}
-		cancelled := make(map[int]bool)
-		for i := range evs {
-			if rng.IntN(4) == 0 {
-				evs[i].Cancel()
-				cancelled[i] = true
-			}
-		}
-		s.Run()
-		kept := want[:0]
-		for _, r := range want {
-			if !cancelled[r.seq] {
-				kept = append(kept, r)
-			}
-		}
-		want = kept
-		sort.SliceStable(want, func(a, b int) bool { return want[a].when < want[b].when })
-		if len(fired) != len(want) {
-			return false
-		}
-		for i := range want {
-			if fired[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestRunUntilEpoch pins the epoch-advance contract: events strictly
 // before the boundary fire, events at the boundary stay pending, the
 // clock lands exactly on the boundary, and work injected at the
@@ -467,4 +435,50 @@ func TestJump(t *testing.T) {
 		}()
 		s.Jump(50)
 	}()
+}
+
+// BenchmarkScheduler measures the steady-state cost of one event: fire
+// the earliest pending event, whose callback schedules its replacement,
+// so the queue holds a constant number of pending events. Delays are
+// drawn uniformly below 100 ms (near: unplug steps, cold-start phases,
+// request completions) or between 1 s and 10 s (far: keep-alive and
+// retry timers).
+func BenchmarkScheduler(b *testing.B) {
+	for _, pending := range []int{100, 5_000, 50_000} {
+		for _, span := range []struct {
+			name     string
+			min, max Duration
+		}{
+			{"near", 0, 100 * Millisecond},
+			{"far", Second, 10 * Second},
+		} {
+			b.Run(fmt.Sprintf("pending=%d/%s", pending, span.name), func(b *testing.B) {
+				rng := rand.New(rand.NewPCG(1, 1))
+				delays := make([]Duration, 1<<12)
+				for i := range delays {
+					delays[i] = span.min + Duration(rng.Int64N(int64(span.max-span.min)))
+				}
+				s := NewScheduler()
+				var k int
+				var tick func()
+				tick = func() {
+					s.After(delays[k&(len(delays)-1)], tick)
+					k++
+				}
+				for range pending {
+					tick()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					s.Step()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+				if s.Len() != pending {
+					b.Fatalf("pending = %d, want %d", s.Len(), pending)
+				}
+			})
+		}
+	}
 }

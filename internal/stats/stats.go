@@ -10,11 +10,10 @@ import (
 // Sample accumulates float64 observations and answers order-statistic
 // queries. The zero value is an empty sample.
 //
-// Sortedness is maintained incrementally: observations land in an
-// unsorted tail, and the first order-statistic query after a batch of
-// appends sorts just that tail and merges it into the sorted prefix —
-// O(n + k log k) for k new points — instead of re-sorting all n
-// observations on every percentile call. Min, Max, Sum, and Mean are
+// Observations are sorted lazily: Add clears the sorted flag, and the
+// first order-statistic query after it sorts every observation once.
+// Callers query percentiles after a run has finished adding, so one
+// sort per sample is the whole cost. Min, Max, Sum, and Mean are
 // tracked on Add and never trigger a sort.
 //
 // EnableSketch (sketch.go) switches a sample to bounded-memory
@@ -23,9 +22,8 @@ import (
 // of exact. Exact mode is the default and is untouched by the sketch
 // machinery.
 type Sample struct {
-	xs       []float64 // observations; xs[:nsorted] is sorted ascending
-	nsorted  int       // length of the sorted prefix
-	scratch  []float64 // merge buffer, reused across queries
+	xs       []float64 // observations, ascending when sorted is set
+	sorted   bool      // no Add since the last sort
 	sum      float64
 	min, max float64
 	sk       *sketch // non-nil selects reservoir mode (sketch.go)
@@ -45,6 +43,7 @@ func (s *Sample) Add(v float64) {
 		return
 	}
 	s.xs = append(s.xs, v)
+	s.sorted = false
 }
 
 // Reset empties the sample while keeping its buffers (and, in sketch
@@ -54,7 +53,7 @@ func (s *Sample) Add(v float64) {
 // byte-identical to a fresh sketch with the same configuration.
 func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
-	s.nsorted = 0
+	s.sorted = true
 	s.sum = 0
 	s.min = 0
 	s.max = 0
@@ -226,38 +225,13 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// ensureSorted restores full sortedness by sorting the unsorted tail
-// and merging it with the sorted prefix.
+// ensureSorted sorts the observations if an Add came after the last
+// sort.
 func (s *Sample) ensureSorted() {
-	if s.nsorted == len(s.xs) {
-		return
+	if !s.sorted {
+		sort.Float64s(s.xs)
+		s.sorted = true
 	}
-	tail := s.xs[s.nsorted:]
-	sort.Float64s(tail)
-	if s.nsorted > 0 {
-		// Merge prefix and tail through the scratch buffer.
-		if cap(s.scratch) < len(s.xs) {
-			s.scratch = make([]float64, len(s.xs))
-		}
-		out := s.scratch[:len(s.xs)]
-		i, j, k := 0, s.nsorted, 0
-		for i < s.nsorted && j < len(s.xs) {
-			if s.xs[i] <= s.xs[j] {
-				out[k] = s.xs[i]
-				i++
-			} else {
-				out[k] = s.xs[j]
-				j++
-			}
-			k++
-		}
-		k += copy(out[k:], s.xs[i:s.nsorted])
-		copy(out[k:], s.xs[j:])
-		// Swap buffers: the merged result becomes xs, the old backing
-		// array becomes the next merge's scratch.
-		s.xs, s.scratch = out, s.xs[:0]
-	}
-	s.nsorted = len(s.xs)
 }
 
 // PhasedSample partitions timestamped observations into phases split

@@ -198,10 +198,10 @@ func TestBreakdownFractionZeroTotal(t *testing.T) {
 	}
 }
 
-// Regression for the re-sort-per-percentile pattern: interleaved Add
-// and percentile queries on a large sample must stay correct — the
-// incremental merge is an optimization, not a semantics change — and
-// repeated queries on an unchanged sample must not disturb the result.
+// Interleaved Add and percentile queries on a large sample must stay
+// correct — each query after an Add sorts the sample again, so the
+// lazy sort is an optimization, not a semantics change — and repeated
+// queries on an unchanged sample must not disturb the result.
 func TestPercentileIncrementalMerge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 7))
 	var s Sample

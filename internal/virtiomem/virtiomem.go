@@ -44,45 +44,18 @@ type UnplugResult struct {
 	Latency sim.Duration
 }
 
-// FaultHooks degrades the device for fault-injection windows: a
-// non-zero ReclaimStall delays every command completion (the command
-// occupies the device queue the whole time), and a ReclaimFraction
-// below 1 caps how much of an unplug request is attempted.
-type FaultHooks interface {
-	ReclaimStall() sim.Duration
-	ReclaimFraction() float64
-}
-
 // Driver is the guest-side virtio-mem driver bound to one VM's movable
-// zone.
+// zone. The embedded device queue serializes its commands, one at a
+// time, and its Faults field injects stalled and partial commands.
 type Driver struct {
+	vmm.Device
+
 	K      *guestos.Kernel
 	Policy CandidatePolicy
 
 	// Obs, when non-nil, records a span per plug/unplug command with the
 	// migrate/zero page detail; recording never alters the command.
 	Obs *obs.Recorder
-
-	// Faults, when non-nil, injects stalled and partial commands.
-	Faults FaultHooks
-
-	// pending serializes requests: the device processes one command at
-	// a time.
-	busy    bool
-	pending []func()
-}
-
-// deliver completes a command, imposing the injected stall first; the
-// stall happens inside the device's busy window, so queued commands
-// wait behind it and the runtime's ReclaimDrainTimeout can fire.
-func (d *Driver) deliver(fn func()) {
-	if d.Faults != nil {
-		if stall := d.Faults.ReclaimStall(); stall > 0 {
-			d.K.VM.Sched.After(stall, fn)
-			return
-		}
-	}
-	fn()
 }
 
 // New creates a driver for the kernel's movable zone.
@@ -93,27 +66,6 @@ func New(k *guestos.Kernel) *Driver {
 	return &Driver{K: k}
 }
 
-// enqueue runs fn now if the device is idle, else after the current
-// command completes.
-func (d *Driver) enqueue(fn func()) {
-	if d.busy {
-		d.pending = append(d.pending, fn)
-		return
-	}
-	d.busy = true
-	fn()
-}
-
-func (d *Driver) finish() {
-	if len(d.pending) > 0 {
-		next := d.pending[0]
-		d.pending = d.pending[1:]
-		next()
-		return
-	}
-	d.busy = false
-}
-
 // PluggedBlocks returns the number of online movable blocks.
 func (d *Driver) PluggedBlocks() int { return len(d.K.Movable.OnlineBlocks()) }
 
@@ -121,7 +73,7 @@ func (d *Driver) PluggedBlocks() int { return len(d.K.Movable.OnlineBlocks()) }
 // the zone span and the host commit budget. onDone receives the bytes
 // actually plugged after the (short) plug latency has elapsed.
 func (d *Driver) Plug(bytes int64, onDone func(plugged int64)) {
-	d.enqueue(func() {
+	d.Enqueue(func() {
 		vm := d.K.VM
 		want := units.BytesToBlocks(bytes)
 		var onlined int64
@@ -145,12 +97,12 @@ func (d *Driver) Plug(bytes int64, onDone func(plugged int64)) {
 		plugged := onlined * units.BlockSize
 		start := vm.Sched.Now()
 		vmm.RunChain(vm.Sched, steps, func(_ *stats.Breakdown, _ sim.Duration) {
-			d.deliver(func() {
+			d.Deliver(vm.Sched, func() {
 				if d.Obs != nil {
 					d.Obs.Span("virtio-mem/plug", obs.CatMemory, start,
 						obs.I("plugged_bytes", plugged), obs.I("blocks", onlined))
 				}
-				d.finish()
+				d.Finish()
 				onDone(plugged)
 			})
 		})
@@ -163,20 +115,13 @@ func (d *Driver) Plug(bytes int64, onDone func(plugged int64)) {
 // reclaims less than asked, as real virtio-mem does under pressure
 // (§6.2.2). onDone fires when the host has released the frames.
 func (d *Driver) Unplug(bytes int64, onDone func(UnplugResult)) {
-	d.enqueue(func() { d.unplug(bytes, onDone) })
+	d.Enqueue(func() { d.unplug(bytes, onDone) })
 }
 
 func (d *Driver) unplug(bytes int64, onDone func(UnplugResult)) {
 	vm := d.K.VM
 	zone := d.K.Movable
-	want := units.BytesToBlocks(bytes)
-	if d.Faults != nil {
-		if f := d.Faults.ReclaimFraction(); f < 1 {
-			// Partial command: the degraded device attempts only a
-			// fraction of the request (possibly none of it).
-			want = int64(float64(want) * f)
-		}
-	}
+	want := d.Trim(units.BytesToBlocks(bytes))
 
 	candidates := zone.OnlineBlocks()
 	switch d.Policy {
@@ -257,7 +202,7 @@ func (d *Driver) unplug(bytes int64, onDone func(UnplugResult)) {
 	blocks := append([]int(nil), offlined...)
 	start := vm.Sched.Now()
 	vmm.RunChain(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
-		d.deliver(func() {
+		d.Deliver(vm.Sched, func() {
 			// Hot-remove done: the hypervisor madvise()s the frames away
 			// and the commit budget returns to the host.
 			for _, b := range blocks {
@@ -279,7 +224,7 @@ func (d *Driver) unplug(bytes int64, onDone func(UnplugResult)) {
 					obs.I("migrated_pages", migratedPages), obs.I("zeroed_pages", zeroedPages),
 					obs.I("blocks", int64(len(blocks))))
 			}
-			d.finish()
+			d.Finish()
 			onDone(res)
 		})
 	})

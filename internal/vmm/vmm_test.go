@@ -139,3 +139,60 @@ func TestRunChainEmpty(t *testing.T) {
 		t.Fatal("done not called for empty chain")
 	}
 }
+
+// stubFaults is a fixed fault window.
+type stubFaults struct {
+	stall    sim.Duration
+	fraction float64
+}
+
+func (f stubFaults) ReclaimStall() sim.Duration { return f.stall }
+func (f stubFaults) ReclaimFraction() float64   { return f.fraction }
+
+// A Device runs one command at a time in FIFO order; an injected stall
+// delays a completion while the device stays busy, so the next queued
+// command starts only after it; an injected fraction trims requests.
+func TestDeviceQueueStallAndTrim(t *testing.T) {
+	s := sim.NewScheduler()
+	var d Device
+	var log []string
+	cmd := func(name string, work sim.Duration) func() {
+		return func() {
+			log = append(log, name+" start")
+			s.After(work, func() {
+				d.Deliver(s, func() {
+					log = append(log, name+" done")
+					d.Finish()
+				})
+			})
+		}
+	}
+	d.Enqueue(cmd("a", 10))
+	d.Enqueue(cmd("b", 10))
+	d.Faults = stubFaults{stall: 5, fraction: 0.5}
+	s.Run()
+	want := []string{"a start", "a done", "b start", "b done"}
+	if len(log) != len(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	}
+	// a: 10 of work + 5 stalled; b: starts at 15, 10 of work + 5.
+	if s.Now() != 30 {
+		t.Fatalf("clock = %d, want 30 (both completions stalled)", s.Now())
+	}
+	if got := d.Trim(7); got != 3 {
+		t.Fatalf("Trim(7) at fraction 0.5 = %d, want 3", got)
+	}
+	d.Faults = nil
+	if got := d.Trim(7); got != 7 {
+		t.Fatalf("Trim(7) without faults = %d, want 7", got)
+	}
+	d.Enqueue(cmd("c", 1)) // idle again: runs at once
+	if log[len(log)-1] != "c start" {
+		t.Fatalf("idle device did not start c at once: %v", log)
+	}
+}
