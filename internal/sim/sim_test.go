@@ -149,61 +149,84 @@ func TestNextEventTime(t *testing.T) {
 	}
 }
 
-// Property: regardless of insertion order, the uncancelled events fire
-// sorted by timestamp and ties fire in insertion order — exactly a
-// stable sort of the schedule by time. Each schedule mixes timestamps
-// drawn from a narrow range (uint16, so ties are common) with
-// timestamps spread across seconds, and cancels a random quarter.
-func TestOrderingProperty(t *testing.T) {
-	f := func(seed uint64, near []uint16, far []uint32) bool {
-		rng := rand.New(rand.NewPCG(seed, 2))
-		s := NewScheduler()
-		type rec struct {
-			when Time
-			seq  int
+// stableOrderHolds schedules one event at each of whens, cancels a
+// random quarter of them, runs the scheduler and reports whether the
+// uncancelled events fired exactly in the order of a stable sort of the
+// schedule by time: sorted by timestamp, ties in insertion order.
+func stableOrderHolds(seed uint64, whens []Time) bool {
+	rng := rand.New(rand.NewPCG(seed, 2))
+	s := NewScheduler()
+	type rec struct {
+		when Time
+		seq  int
+	}
+	var fired, want []rec
+	var evs []Event
+	for i, when := range whens {
+		r := rec{when, i}
+		evs = append(evs, s.At(when, func() { fired = append(fired, r) }))
+		want = append(want, r)
+	}
+	cancelled := make(map[int]bool)
+	for i := range evs {
+		if rng.IntN(4) == 0 {
+			evs[i].Cancel()
+			cancelled[i] = true
 		}
-		var fired, want []rec
-		var evs []Event
-		schedule := func(when Time) {
-			r := rec{when, len(want)}
-			evs = append(evs, s.At(when, func() { fired = append(fired, r) }))
-			want = append(want, r)
+	}
+	s.Run()
+	kept := want[:0]
+	for _, r := range want {
+		if !cancelled[r.seq] {
+			kept = append(kept, r)
 		}
-		// Interleave the two ranges so ties and far timers alternate in
-		// insertion order.
-		for i := 0; i < max(len(near), len(far)); i++ {
-			if i < len(near) {
-				schedule(Time(near[i]))
-			}
-			if i < len(far) {
-				schedule(Time(far[i] % 3_000_000_000))
-			}
-		}
-		cancelled := make(map[int]bool)
-		for i := range evs {
-			if rng.IntN(4) == 0 {
-				evs[i].Cancel()
-				cancelled[i] = true
-			}
-		}
-		s.Run()
-		kept := want[:0]
-		for _, r := range want {
-			if !cancelled[r.seq] {
-				kept = append(kept, r)
-			}
-		}
-		want = kept
-		sort.SliceStable(want, func(a, b int) bool { return want[a].when < want[b].when })
-		if len(fired) != len(want) || s.Fired() != uint64(len(want)) {
+	}
+	want = kept
+	sort.SliceStable(want, func(a, b int) bool { return want[a].when < want[b].when })
+	if len(fired) != len(want) || s.Fired() != uint64(len(want)) {
+		return false
+	}
+	for i := range want {
+		if fired[i] != want[i] {
 			return false
 		}
-		for i := range want {
-			if fired[i] != want[i] {
-				return false
+	}
+	return true
+}
+
+// Property: regardless of insertion order, events fire sorted by
+// timestamp and ties fire in insertion order. Timestamps are drawn from
+// a narrow range (uint16), so ties are common.
+func TestOrderingProperty(t *testing.T) {
+	f := func(seed uint64, raw []uint16) bool {
+		whens := make([]Time, len(raw))
+		for i, v := range raw {
+			whens[i] = Time(v)
+		}
+		return stableOrderHolds(seed, whens)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: any mix of near, far and cancelled events fires in exactly
+// (timestamp, insertion) order. Near timestamps (uint16) are interleaved
+// with timestamps spread across seconds. The name is kept from the
+// scheduler's former two-level queue (bucket ring + heap); the single
+// heap must satisfy the same property.
+func TestTwoLevelQueueOrderingProperty(t *testing.T) {
+	f := func(seed uint64, near []uint16, far []uint32) bool {
+		var whens []Time
+		for i := 0; i < max(len(near), len(far)); i++ {
+			if i < len(near) {
+				whens = append(whens, Time(near[i]))
+			}
+			if i < len(far) {
+				whens = append(whens, Time(far[i]%3_000_000_000))
 			}
 		}
-		return true
+		return stableOrderHolds(seed, whens)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
