@@ -17,8 +17,8 @@ import (
 // executes. Every cell gets a fresh scheduler, and everything it builds
 // on it — VMs, runtimes, fleets — is fresh too and dies with the cell.
 // The one thing a World carries from cell to cell is its guest-kernel
-// arena cache (guestos.Recycler): buddy ord spans, population bitmaps
-// and reverse-map buckets are the dominant allocations of a sweep, and
+// arena cache (guestos.Recycler): buddy ord spans and population
+// bitmaps are the dominant allocations of a sweep, and
 // building them fresh per cell is measured to double the bytes it
 // allocates. Kernels and runtimes built through the World draw from
 // that cache and hand their arenas back when the cell ends; the arena

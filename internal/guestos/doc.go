@@ -12,12 +12,13 @@
 //
 // Page state is maintained in bulk, never page-at-a-time: the EPT
 // population bitmap works in word-masked ranges, the chunk reverse map
-// is keyed by 128 MiB hotplug block, and zone occupancy questions
-// resolve through the buddy allocator's per-region free counters. A
-// Recycler caches the flat storage a kernel allocates (zone structs
-// with their buddy ord spans, bitmap words, reverse-map buckets) so a
-// worker's next cell rebuilds kernels without reallocating; a kernel
-// built from recycled arenas behaves identically to one built fresh.
+// is a slice per 128 MiB hotplug block indexed by each chunk's slot,
+// zone occupancy questions resolve through the buddy allocator's
+// per-region free counters, and the free-list scramble builds no
+// Chunks. A Recycler caches the flat storage a kernel allocates (zone
+// structs with their buddy ord spans, bitmap words) so a worker's next
+// cell rebuilds kernels without reallocating; a kernel built from
+// recycled arenas behaves identically to one built fresh.
 // It is the simulator's only cross-cell pool: every other layer a cell
 // builds is constructed fresh and dies with the cell.
 package guestos

@@ -19,13 +19,16 @@ const HugeOrder = 9
 // Chunk is one allocated physical extent (2^Order pages) and its owner:
 // either a process's anonymous memory or a cached file's pages. The
 // per-block reverse map (Kernel.chunksIn) indexes chunks by hotplug
-// block so the offline path can find and migrate them.
+// block so the offline path can find and migrate them; slot is the
+// chunk's position in its block's slice, so removal is a swap-remove.
 type Chunk struct {
 	PFN   mem.PFN
 	Order int
 	Zone  *mem.Zone
 	Proc  *Process    // nil for page-cache chunks
 	File  *CachedFile // nil for anonymous chunks
+
+	slot int // index in Kernel.chunksIn[PFN/PagesPerBlock]
 }
 
 // Pages returns the chunk size in pages.
@@ -44,7 +47,7 @@ type Process struct {
 
 	anonChunks []*Chunk
 	anonPages  int64
-	mappedFile map[*CachedFile]int64 // pages of each file this process mapped
+	mappedFile map[*CachedFile]int64 // pages mapped per file; nil until the first TouchFile
 	exited     bool
 }
 
@@ -102,35 +105,39 @@ type Kernel struct {
 	// block (PFN / PagesPerBlock), so the offline path's range queries
 	// walk the handful of chunks in a block instead of probing a map
 	// once per page frame. Chunks are naturally aligned and at most
-	// 2^MaxOrder pages, so no chunk straddles a block boundary.
-	chunksIn []map[*Chunk]struct{}
+	// 2^MaxOrder pages, so no chunk straddles a block boundary. Order
+	// within a block is unobservable: ChunksInRange sorts by PFN.
+	chunksIn [][]*Chunk
 	files    map[string]*CachedFile
 
 	populated bitset // per-PFN: guest page backed by a host frame
+
+	// scratch is the reused extent buffer of popGreedy, so scrambling a
+	// zone allocates nothing once it has grown to the zone's size.
+	scratch []extent
 
 	recycle *Recycler // nil unless the kernel was built through one
 }
 
 // Recycler caches the flat storage a guest kernel allocates — zone
-// structs with their buddy ord spans and region counters, the
-// populated bitmap's word array, and the per-block reverse-map buckets
-// — so a worker simulating many worlds in sequence reuses one arena
-// set instead of reconstructing it per run. Pass it via Config.Recycle
-// and hand a dead kernel's storage back with Kernel.Release.
+// structs with their buddy ord spans and region counters, and the
+// populated bitmap's word array — so a worker simulating many worlds
+// in sequence reuses one arena set instead of reconstructing it per
+// run. Pass it via Config.Recycle and hand a dead kernel's storage
+// back with Kernel.Release.
 //
 // It is the simulator's one cross-run pool, kept because it is
 // measured to pay: building these arenas fresh per cell doubles the
 // bytes a sweep allocates. Everything else a cell builds is fresh.
 //
 // Reused storage is always reset to its freshly-constructed state
-// before it is handed out (mem.Zone.Reset, a zero-length bitmap, a
-// cleared bucket), so a kernel built from recycled arenas behaves
-// identically to one built from fresh ones. A Recycler is not safe for
-// concurrent use: each worker owns its own.
+// before it is handed out (mem.Zone.Reset, a zero-length bitmap), so
+// a kernel built from recycled arenas behaves identically to one
+// built from fresh ones. A Recycler is not safe for concurrent use:
+// each worker owns its own.
 type Recycler struct {
 	zones []*mem.Zone
 	words [][]uint64
-	rmaps []map[*Chunk]struct{}
 }
 
 // NewRecycler returns an empty recycler.
@@ -159,25 +166,10 @@ func (r *Recycler) takeWords() []uint64 {
 	return w[:0]
 }
 
-// takeRmap hands out a cleared reverse-map bucket. Retired buckets are
-// cleared here, on reuse, not at Release time: a released kernel whose
-// buckets are never needed again (the last cell of a worker's run)
-// then pays nothing for them.
-func (r *Recycler) takeRmap() map[*Chunk]struct{} {
-	if r == nil || len(r.rmaps) == 0 {
-		return make(map[*Chunk]struct{})
-	}
-	m := r.rmaps[len(r.rmaps)-1]
-	r.rmaps = r.rmaps[:len(r.rmaps)-1]
-	clear(m)
-	return m
-}
-
 // Release retires the kernel's arena storage into the recycler it was
 // built with (a no-op for kernels built without one, or already
-// released). The kernel must not be used afterwards: its zones,
-// bitmap, and reverse map now belong to the recycler and will back
-// future kernels.
+// released). The kernel must not be used afterwards: its zones and
+// bitmap now belong to the recycler and will back future kernels.
 func (k *Kernel) Release() {
 	r := k.recycle
 	if r == nil {
@@ -190,13 +182,6 @@ func (k *Kernel) Release() {
 		r.words = append(r.words, k.populated.words)
 		k.populated.words = nil
 	}
-	for i, m := range k.chunksIn {
-		if m != nil {
-			r.rmaps = append(r.rmaps, m) // cleared lazily by takeRmap
-			k.chunksIn[i] = nil
-		}
-	}
-	k.chunksIn = nil
 	k.recycle = nil
 }
 
@@ -213,8 +198,8 @@ type Config struct {
 	// agent, allocated from Normal and populated in the host.
 	KernelResidentBytes int64
 	// Recycle, when non-nil, supplies recycled arena storage (zone
-	// structs, buddy ord spans, bitmap words, reverse-map buckets)
-	// harvested from kernels a previous simulation released.
+	// structs, buddy ord spans, bitmap words) harvested from kernels a
+	// previous simulation released.
 	Recycle *Recycler
 }
 
@@ -274,17 +259,20 @@ func (k *Kernel) addZone(name string, kind mem.ZoneKind, bytes int64) *mem.Zone 
 // addOwner registers a chunk in the per-block reverse map.
 func (k *Kernel) addOwner(c *Chunk) {
 	b := c.PFN / units.PagesPerBlock
-	m := k.chunksIn[b]
-	if m == nil {
-		m = k.recycle.takeRmap()
-		k.chunksIn[b] = m
-	}
-	m[c] = struct{}{}
+	c.slot = len(k.chunksIn[b])
+	k.chunksIn[b] = append(k.chunksIn[b], c)
 }
 
-// delOwner removes a chunk from the per-block reverse map.
+// delOwner removes a chunk from the per-block reverse map by moving
+// the block's last chunk into its slot.
 func (k *Kernel) delOwner(c *Chunk) {
-	delete(k.chunksIn[c.PFN/units.PagesPerBlock], c)
+	b := c.PFN / units.PagesPerBlock
+	cs := k.chunksIn[b]
+	last := cs[len(cs)-1]
+	cs[c.slot] = last
+	last.slot = c.slot
+	cs[len(cs)-1] = nil
+	k.chunksIn[b] = cs[:len(cs)-1]
 }
 
 // AddZone registers an extra zone (a Squeezy partition) spanning bytes.
@@ -317,11 +305,7 @@ func (k *Kernel) OnlineAllMovable() {
 
 // Spawn creates a process.
 func (k *Kernel) Spawn(name string) *Process {
-	p := &Process{
-		PID:        k.nextPID,
-		Name:       name,
-		mappedFile: make(map[*CachedFile]int64),
-	}
+	p := &Process{PID: k.nextPID, Name: name}
 	k.nextPID++
 	k.procs[p.PID] = p
 	return p
@@ -355,11 +339,10 @@ func (k *Kernel) Exit(p *Process) int64 {
 	}
 	p.anonChunks = nil
 	p.anonPages = 0
-	for f, pages := range p.mappedFile {
+	for f := range p.mappedFile {
 		f.mapCount--
-		_ = pages
 	}
-	p.mappedFile = make(map[*CachedFile]int64)
+	p.mappedFile = nil
 	p.exited = true
 	delete(k.procs, p.PID)
 	if k.OnProcExit != nil {
@@ -457,39 +440,27 @@ func (k *Kernel) FreeAnon(p *Process, bytes int64) int64 {
 	return freed
 }
 
-// FreeAnonRandom releases bytes of p's anonymous memory, choosing
-// victim chunks uniformly at random. Freeing in random order leaves the
-// buddy freelists in the history-dependent, scattered state a
-// long-running guest has — later allocations then spread across all
-// memory blocks instead of packing the most recently onlined ones.
-func (k *Kernel) FreeAnonRandom(p *Process, bytes int64, rng *rand.Rand) int64 {
-	target := units.BytesToPages(bytes)
-	var freed int64
-	for freed < target && len(p.anonChunks) > 0 {
-		i := rng.IntN(len(p.anonChunks))
-		c := p.anonChunks[i]
-		last := len(p.anonChunks) - 1
-		p.anonChunks[i] = p.anonChunks[last]
-		p.anonChunks = p.anonChunks[:last]
-		k.delOwner(c)
-		c.Zone.FreePage(c.PFN, c.Order)
-		p.anonPages -= c.Pages()
-		freed += c.Pages()
-	}
-	return freed
-}
-
 // ScrambleFreeLists gives a zone the allocator state of a long-running
 // guest: it allocates every free page and releases them in random
-// order, so the free lists no longer reflect onlining order. Only the
-// zone's current free memory is touched; allocated pages are
-// unaffected, and no host population happens (the pages are never
-// "touched" by a user).
+// order, so the free lists no longer reflect onlining order and later
+// allocations spread across all memory blocks. Only the zone's current
+// free memory is touched; allocated pages are unaffected, and no host
+// population happens (the pages are never "touched" by a user).
+//
+// The pages never become Chunks: popGreedy reserves them as
+// AllocReserved would, and they are freed with one rng.IntN(len)
+// swap-remove draw each. A "scrambler" process is spawned and exited
+// around this, so PIDs and OnProcExit see a user program's lifecycle.
 func (k *Kernel) ScrambleFreeLists(z *mem.Zone, rng *rand.Rand) {
 	p := k.Spawn("scrambler")
 	p.AssignedZone = z
-	k.AllocReserved(p, z.NrFree())
-	k.FreeAnonRandom(p, units.PagesToBytes(p.anonPages), rng)
+	free := k.popGreedy(z, z.NrFree())
+	for n := len(free); n > 0; n-- {
+		i := rng.IntN(n)
+		e := free[i]
+		free[i] = free[n-1]
+		z.FreePage(e.pfn, e.order)
+	}
 	k.Exit(p)
 }
 
@@ -515,6 +486,9 @@ func (k *Kernel) TouchFile(p *Process, f *CachedFile, bytes int64) (work sim.Dur
 		panic(fmt.Sprintf("guestos: touch on exited pid %d", p.PID))
 	}
 	npages := units.BytesToPages(bytes)
+	if p.mappedFile == nil {
+		p.mappedFile = make(map[*CachedFile]int64)
+	}
 	if _, mapped := p.mappedFile[f]; !mapped {
 		f.mapCount++
 	}
@@ -612,7 +586,7 @@ func (k *Kernel) ChunksInRange(start mem.PFN, count int64) []*Chunk {
 	end := start + count
 	lastBlock := int64(len(k.chunksIn)) - 1
 	for b := start / units.PagesPerBlock; b <= lastBlock && b*units.PagesPerBlock < end; b++ {
-		for c := range k.chunksIn[b] {
+		for _, c := range k.chunksIn[b] {
 			if c.PFN >= start && c.PFN < end {
 				out = append(out, c)
 			}
@@ -644,10 +618,37 @@ func (k *Kernel) MigrateChunk(c *Chunk) (pages int64, extra sim.Duration, ok boo
 // AllocReserved grabs pages of free memory for p without touching them
 // — the balloon driver's reservation path: no zeroing, no population,
 // no fault cost. It allocates greedily at the largest orders available
-// and returns the chunks it reserved and how many pages they total
-// (bounded by free memory).
+// (popGreedy) and returns the chunks it reserved and how many pages
+// they total (bounded by free memory).
 func (k *Kernel) AllocReserved(p *Process, pages int64) (chunks []*Chunk, got int64) {
 	zone := k.anonZone(p)
+	for _, e := range k.popGreedy(zone, pages) {
+		c := &Chunk{PFN: e.pfn, Order: e.order, Zone: zone, Proc: p}
+		k.addOwner(c)
+		p.anonChunks = append(p.anonChunks, c)
+		p.anonPages += c.Pages()
+		chunks = append(chunks, c)
+		got += c.Pages()
+	}
+	return chunks, got
+}
+
+// extent is a chunk popped off a zone's free lists with no owner and
+// no reverse-map entry.
+type extent struct {
+	pfn   mem.PFN
+	order int
+}
+
+// popGreedy allocates up to pages of z's free memory and returns the
+// extents in allocation order: HugeOrder chunks while at least that
+// much is wanted, then the largest power of two that fits the
+// remainder, each falling back to smaller orders under fragmentation.
+// It stops early when z runs dry. The returned slice is the kernel's
+// scratch buffer, valid until the next call.
+func (k *Kernel) popGreedy(z *mem.Zone, pages int64) []extent {
+	out := k.scratch[:0]
+	var got int64
 	for got < pages {
 		o := HugeOrder
 		if remaining := pages - got; remaining < 1<<HugeOrder {
@@ -656,22 +657,19 @@ func (k *Kernel) AllocReserved(p *Process, pages int64) (chunks []*Chunk, got in
 				o++
 			}
 		}
-		pfn, ok := zone.AllocPage(o)
+		pfn, ok := z.AllocPage(o)
 		for !ok && o > 0 {
 			o--
-			pfn, ok = zone.AllocPage(o)
+			pfn, ok = z.AllocPage(o)
 		}
 		if !ok {
 			break
 		}
-		c := &Chunk{PFN: pfn, Order: o, Zone: zone, Proc: p}
-		k.addOwner(c)
-		p.anonChunks = append(p.anonChunks, c)
-		p.anonPages += c.Pages()
-		chunks = append(chunks, c)
-		got += c.Pages()
+		out = append(out, extent{pfn: pfn, order: o})
+		got += 1 << o
 	}
-	return chunks, got
+	k.scratch = out
+	return out
 }
 
 // ReleaseChunkFrames releases the host frames backing a chunk's pages
@@ -722,8 +720,11 @@ func (k *Kernel) CheckInvariants() error {
 		}
 	}
 	var owned int64
-	for b, m := range k.chunksIn {
-		for c := range m {
+	for b, cs := range k.chunksIn {
+		for i, c := range cs {
+			if c.slot != i {
+				return fmt.Errorf("rmap block %d slot %d holds chunk %d recording slot %d", b, i, c.PFN, c.slot)
+			}
 			if c.PFN/units.PagesPerBlock != int64(b) {
 				return fmt.Errorf("rmap block %d != chunk head %d's block", b, c.PFN)
 			}
