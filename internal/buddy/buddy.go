@@ -1,15 +1,15 @@
 package buddy
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"squeezy/internal/bitmap"
+)
 
 // MaxOrder is the largest allocation order (inclusive); order 10 chunks
 // are 4 MiB of 4 KiB pages, matching Linux's MAX_PAGE_ORDER.
 const MaxOrder = 10
-
-// ord encoding: 0 means "not the head of a free chunk"; k+1 means "head
-// of a free chunk of order k". Using 0 as the empty state lets New hand
-// back a zeroed slice without an O(span) fill.
-const noChunk = int8(0)
 
 // Allocator is a buddy allocator over a contiguous page-frame span. The
 // zero value is not usable; call New.
@@ -17,12 +17,16 @@ type Allocator struct {
 	base   int64
 	npages int64
 
-	// ord[i] is the encoded order of the free chunk whose head is page
-	// base+i (see noChunk).
-	ord []int8
+	// heads[k] has bit i>>k set when relative page i is the head of a
+	// free chunk of order k. head has bit i set when page i heads a
+	// free chunk of any order, so the double-free check and
+	// FreeChunkAt test one bit instead of every order. Together they
+	// take about 3 bits per page.
+	heads [MaxOrder + 1]bitmap.Bitmap
+	head  bitmap.Bitmap
 
 	// stacks[k] holds candidate heads (relative indexes) of free chunks
-	// of order k. Entries are validated against ord on pop (lazy
+	// of order k. Entries are validated against heads[k] on pop (lazy
 	// deletion), so stale entries are harmless.
 	stacks [MaxOrder + 1][]int64
 
@@ -41,61 +45,20 @@ func New(base, npages int64) *Allocator {
 	if npages <= 0 {
 		panic(fmt.Sprintf("buddy: non-positive span %d", npages))
 	}
-	return &Allocator{base: base, npages: npages, ord: make([]int8, npages)}
-}
-
-// Reset re-dimensions the allocator to a fresh [base, base+npages)
-// span while reusing its storage: the ord span is re-zeroed in place
-// when capacity allows (growing only when the new span is larger),
-// stacks are truncated, and region tracking — if it was enabled —
-// survives at the same region size with cleared counters. All pages
-// start absent again, exactly as after New, so a reset allocator
-// behaves identically to a freshly constructed one.
-func (a *Allocator) Reset(base, npages int64) {
-	if npages <= 0 {
-		panic(fmt.Sprintf("buddy: non-positive span %d", npages))
+	// One allocation backs all twelve bitmaps: head has a bit per page,
+	// heads[k] a bit per 2^k pages.
+	size := func(k int) int64 { return ((npages+1<<k-1)>>k + 63) / 64 }
+	words := size(0)
+	for k := 0; k <= MaxOrder; k++ {
+		words += size(k)
 	}
-	a.base = base
-	a.npages = npages
-	if int64(cap(a.ord)) >= npages {
-		// Restore the all-zero state. Every nonzero ord position is the
-		// head of a free chunk, and every head was recorded in a stack
-		// (pop and coalescing only ever clear positions), so zeroing the
-		// stack entries restores a sparse span without touching the
-		// untouched bulk; heavily-churned spans whose stacks grew past
-		// an eighth of the extent fall back to one memclr. Both leave
-		// the entire backing array zero, so any re-slice within cap
-		// starts clean.
-		var entries int64
-		for k := range a.stacks {
-			entries += int64(len(a.stacks[k]))
-		}
-		if entries <= int64(len(a.ord))/8 {
-			for k := range a.stacks {
-				for _, i := range a.stacks[k] {
-					a.ord[i] = noChunk
-				}
-			}
-		} else {
-			clear(a.ord)
-		}
-		a.ord = a.ord[:npages]
-	} else {
-		a.ord = make([]int8, npages)
+	buf := make(bitmap.Bitmap, words)
+	a := &Allocator{base: base, npages: npages}
+	a.head, buf = buf[:size(0)], buf[size(0):]
+	for k := range a.heads {
+		a.heads[k], buf = buf[:size(k)], buf[size(k):]
 	}
-	for k := range a.stacks {
-		a.stacks[k] = a.stacks[k][:0]
-	}
-	a.free = 0
-	if rp := a.regionPages; rp != 0 {
-		regions := (npages + rp - 1) / rp
-		if int64(cap(a.regionFree)) >= regions {
-			a.regionFree = a.regionFree[:regions]
-			clear(a.regionFree)
-		} else {
-			a.regionFree = make([]int64, regions)
-		}
-	}
+	return a
 }
 
 // TrackRegions enables per-region free-page counters at the given
@@ -176,18 +139,19 @@ func (a *Allocator) Free(pfn int64, order int) {
 	if i&((1<<order)-1) != 0 {
 		panic(fmt.Sprintf("buddy: Free(%d, %d) misaligned", pfn, order))
 	}
-	if a.ord[i] != noChunk {
+	if a.head.Test(i) {
 		panic(fmt.Sprintf("buddy: double free of pfn %d", pfn))
 	}
 	a.creditRegion(i, 1<<order)
 	k := order
 	for k < MaxOrder {
 		bud := i ^ (1 << k)
-		if bud+(1<<k) > a.npages || a.ord[bud] != int8(k)+1 {
+		if bud+(1<<k) > a.npages || !a.heads[k].Test(bud>>k) {
 			break
 		}
 		// Detach the buddy (its stack entry goes stale) and merge.
-		a.ord[bud] = noChunk
+		a.heads[k].Clear(bud >> k)
+		a.head.Clear(bud)
 		if bud < i {
 			i = bud
 		}
@@ -222,7 +186,8 @@ func (a *Allocator) FreeRange(pfn, count int64) {
 //
 // The range must be aligned such that no free chunk straddles its
 // boundary; hotplug blocks (128 MiB, 4 MiB-aligned) always satisfy this
-// for MaxOrder 10. IsolateRange panics if a straddling chunk is found.
+// for MaxOrder 10. IsolateRange panics if a free chunk headed inside
+// the range extends past its end.
 func (a *Allocator) IsolateRange(pfn, count int64) int64 {
 	start := pfn - a.base
 	end := start + count
@@ -230,44 +195,52 @@ func (a *Allocator) IsolateRange(pfn, count int64) int64 {
 		panic(fmt.Sprintf("buddy: IsolateRange(%d,%d) outside span", pfn, count))
 	}
 	var isolated int64
-	for i := start; i < end; i++ {
-		// A fully-occupied (or offline) region has nothing to isolate.
-		if a.regionPages != 0 && i%a.regionPages == 0 {
-			for i+a.regionPages <= end && a.regionFree[i/a.regionPages] == 0 {
-				i += a.regionPages
+	for lo := start; lo < end; {
+		hi := end
+		if rp := a.regionPages; rp != 0 {
+			// A fully-occupied (or offline) region has nothing to
+			// isolate.
+			hi = min(end, (lo/rp+1)*rp)
+			if a.regionFree[lo/rp] == 0 {
+				lo = hi
+				continue
 			}
-			if i >= end {
-				break
-			}
 		}
-		k := a.ord[i]
-		if k == noChunk {
-			continue
-		}
-		sz := int64(1) << (k - 1)
-		if i+sz > end {
-			panic(fmt.Sprintf("buddy: free chunk at %d order %d straddles isolation boundary", a.base+i, k-1))
-		}
-		a.ord[i] = noChunk // stack entry goes stale
-		isolated += sz
-		a.free -= sz
-		a.creditRegion(i, -sz)
-		i += sz - 1
+		n := a.isolate(lo, hi)
+		a.creditRegion(lo, -n)
+		isolated += n
+		lo = hi
 	}
+	a.free -= isolated
 	return isolated
+}
+
+// isolate clears every free-chunk head in [lo, hi), a word at a time
+// per order, and returns the pages those chunks held. Their stack
+// entries go stale.
+func (a *Allocator) isolate(lo, hi int64) (pages int64) {
+	for k, bm := range a.heads {
+		// The order-k heads in [lo, hi) are bits [⌈lo/2^k⌉, ⌈hi/2^k⌉);
+		// when hi is not order-k aligned, the last of them straddles.
+		first, last := (lo+1<<k-1)>>k, (hi+1<<k-1)>>k
+		if hi&(1<<k-1) != 0 && last > first && bm.Test(last-1) {
+			panic(fmt.Sprintf("buddy: free chunk at %d order %d straddles isolation boundary", a.base+(last-1)<<k, k))
+		}
+		pages += bm.ClearRange(first, last-first) << k
+	}
+	a.head.ClearRange(lo, hi-lo)
+	return pages
 }
 
 // FreeInRange returns the number of free pages inside [pfn, pfn+count)
 // without modifying the allocator. Region-aligned ranges are answered
-// from the region counters in O(regions).
+// from the region counters in O(regions); others count each order's
+// heads a word at a time.
 func (a *Allocator) FreeInRange(pfn, count int64) int64 {
-	start := pfn - a.base
-	end := start + count
-	if start < 0 {
-		start = 0
-	}
-	if end > a.npages {
-		end = a.npages
+	start := max(pfn-a.base, 0)
+	end := min(pfn-a.base+count, a.npages)
+	if end <= start {
+		return 0
 	}
 	if rp := a.regionPages; rp != 0 && start%rp == 0 && (end%rp == 0 || end == a.npages) {
 		var n int64
@@ -276,28 +249,18 @@ func (a *Allocator) FreeInRange(pfn, count int64) int64 {
 		}
 		return n
 	}
-	// A free chunk covering [start, ...) may have its head before start;
-	// chunks are order-aligned, so scanning from the max-order boundary
-	// below start finds every chunk that can overlap the range.
-	scan := start &^ ((1 << MaxOrder) - 1)
 	var n int64
-	for i := scan; i < end; i++ {
-		k := a.ord[i]
-		if k == noChunk {
-			continue
+	for k, bm := range a.heads {
+		// Order-k chunks overlapping [start, end) have heads j<<k for
+		// j in [first, last]; only the first and last can stick out.
+		first, last := start>>k, (end-1)>>k
+		n += bm.CountRange(first, last-first+1) << k
+		if bm.Test(first) {
+			n -= start - first<<k
 		}
-		sz := int64(1) << (k - 1)
-		lo, hi := i, i+sz
-		if lo < start {
-			lo = start
+		if bm.Test(last) {
+			n -= (last+1)<<k - end
 		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
-			n += hi - lo
-		}
-		i += sz - 1
 	}
 	return n
 }
@@ -307,13 +270,21 @@ func (a *Allocator) FreeInRange(pfn, count int64) int64 {
 // pages, and absent pages all return ok=false.
 func (a *Allocator) FreeChunkAt(pfn int64) (order int, ok bool) {
 	i := pfn - a.base
-	if i < 0 || i >= a.npages {
+	if i < 0 || i >= a.npages || !a.head.Test(i) {
 		return 0, false
 	}
-	if k := a.ord[i]; k != noChunk {
-		return int(k) - 1, true
+	return a.orderAt(i), true
+}
+
+// orderAt returns the order of the free chunk headed at relative page
+// i (its head bit must be set), or -1 when no order claims it.
+func (a *Allocator) orderAt(i int64) int {
+	for k := 0; k <= MaxOrder && i&(1<<k-1) == 0; k++ {
+		if a.heads[k].Test(i >> k) {
+			return k
+		}
 	}
-	return 0, false
+	return -1
 }
 
 // LargestFreeOrder returns the highest order with at least one free
@@ -321,7 +292,7 @@ func (a *Allocator) FreeChunkAt(pfn int64) (order int, ok bool) {
 func (a *Allocator) LargestFreeOrder() int {
 	for k := MaxOrder; k >= 0; k-- {
 		for _, head := range a.stacks[k] {
-			if a.ord[head] == int8(k)+1 {
+			if a.heads[k].Test(head >> k) {
 				return k
 			}
 		}
@@ -330,7 +301,8 @@ func (a *Allocator) LargestFreeOrder() int {
 }
 
 func (a *Allocator) push(i int64, order int) {
-	a.ord[i] = int8(order) + 1
+	a.heads[order].Set(i >> order)
+	a.head.Set(i)
 	a.stacks[order] = append(a.stacks[order], i)
 }
 
@@ -339,8 +311,9 @@ func (a *Allocator) pop(order int) (int64, bool) {
 	for len(st) > 0 {
 		head := st[len(st)-1]
 		st = st[:len(st)-1]
-		if a.ord[head] == int8(order)+1 {
-			a.ord[head] = noChunk
+		if a.heads[order].Test(head >> order) {
+			a.heads[order].Clear(head >> order)
+			a.head.Clear(head)
 			a.stacks[order] = st
 			return head, true
 		}
@@ -349,38 +322,52 @@ func (a *Allocator) pop(order int) (int64, bool) {
 	return 0, false
 }
 
-// CheckInvariants validates internal consistency — the free count
-// matches the chunks recorded in ord, no free chunk overlaps another,
-// every free chunk is order-aligned, and the region counters (when
-// enabled) agree with a fresh count. It is O(span) and intended for
-// tests.
+// CheckInvariants validates internal consistency: every head bit
+// inside the span marks exactly one order's head, each order bit
+// belongs to a head bit, no free chunk overlaps another or overruns
+// the span, the free count matches the chunks, and the region counters
+// (when enabled) agree with a fresh count. It is O(span/64 + free
+// chunks) and intended for tests.
 func (a *Allocator) CheckInvariants() error {
-	var counted int64
+	var counted, nheads, covered int64
 	regions := make([]int64, len(a.regionFree))
-	i := int64(0)
-	for i < a.npages {
-		k := a.ord[i]
-		if k == noChunk {
-			i++
-			continue
-		}
-		sz := int64(1) << (k - 1)
-		if i&(sz-1) != 0 {
-			return fmt.Errorf("chunk at %d order %d misaligned", a.base+i, k-1)
-		}
-		if i+sz > a.npages {
-			return fmt.Errorf("chunk at %d order %d overruns span", a.base+i, k-1)
-		}
-		for j := i + 1; j < i+sz; j++ {
-			if a.ord[j] != noChunk {
-				return fmt.Errorf("nested chunk head at %d inside chunk at %d", a.base+j, a.base+i)
+	for w, word := range a.head {
+		for ; word != 0; word &= word - 1 {
+			i := int64(w)*64 + int64(bits.TrailingZeros64(word))
+			if i >= a.npages {
+				return fmt.Errorf("head bit at %d past the span", a.base+i)
+			}
+			k := a.orderAt(i)
+			if k < 0 {
+				return fmt.Errorf("head bit at %d with no order bit", a.base+i)
+			}
+			for j := k + 1; j <= MaxOrder && i&(1<<j-1) == 0; j++ {
+				if a.heads[j].Test(i >> j) {
+					return fmt.Errorf("page %d heads free chunks of orders %d and %d", a.base+i, k, j)
+				}
+			}
+			sz := int64(1) << k
+			if i < covered {
+				return fmt.Errorf("chunk at %d order %d overlaps the chunk before it", a.base+i, k)
+			}
+			if i+sz > a.npages {
+				return fmt.Errorf("chunk at %d order %d overruns span", a.base+i, k)
+			}
+			covered = i + sz
+			nheads++
+			counted += sz
+			if a.regionPages != 0 {
+				regions[i/a.regionPages] += sz
 			}
 		}
-		counted += sz
-		if a.regionPages != 0 {
-			regions[i/a.regionPages] += sz
-		}
-		i += sz
+	}
+	// Each head above claimed one order bit; any other is stray.
+	var orderBits int64
+	for _, bm := range a.heads {
+		orderBits += bm.CountRange(0, int64(len(bm))*64)
+	}
+	if orderBits != nheads {
+		return fmt.Errorf("%d order bits for %d head bits", orderBits, nheads)
 	}
 	if counted != a.free {
 		return fmt.Errorf("free count %d != chunks total %d", a.free, counted)

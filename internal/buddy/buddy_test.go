@@ -218,6 +218,26 @@ func TestDoubleFreePanics(t *testing.T) {
 	a.Free(p, 0)
 }
 
+// An isolation range whose end cuts a free chunk in two is a caller
+// bug: the chunk would be half withdrawn.
+func TestIsolateStraddlePanics(t *testing.T) {
+	for _, tracked := range []bool{false, true} {
+		a := New(0, 2048)
+		if tracked {
+			a.TrackRegions(1024)
+		}
+		a.FreeRange(0, 2048) // two free order-10 chunks
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("tracked=%v: expected straddle panic", tracked)
+				}
+			}()
+			a.IsolateRange(1024, 512)
+		}()
+	}
+}
+
 func TestMisalignedFreePanics(t *testing.T) {
 	a := New(0, 64)
 	defer func() {
@@ -477,80 +497,4 @@ func scanFree(a *Allocator, pfn, count int64) int64 {
 		i += (1 << order) - 1
 	}
 	return n
-}
-
-// TestResetEquivalence replays an allocation program on a freshly
-// constructed allocator and on one reset after heavy prior use
-// (including a different span) and requires identical behaviour —
-// the reset invariant the pooled-world layer depends on.
-func TestResetEquivalence(t *testing.T) {
-	program := func(a *Allocator) []int64 {
-		a.FreeRange(a.Base(), a.Span())
-		var log []int64
-		rng := rand.New(rand.NewPCG(11, 13))
-		var live [][2]int64 // pfn, order
-		for i := 0; i < 2000; i++ {
-			if rng.IntN(3) < 2 {
-				order := rng.IntN(MaxOrder + 1)
-				if pfn, ok := a.Alloc(order); ok {
-					live = append(live, [2]int64{pfn, int64(order)})
-					log = append(log, pfn)
-				} else {
-					log = append(log, -1)
-				}
-			} else if len(live) > 0 {
-				i := rng.IntN(len(live))
-				c := live[i]
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-				a.Free(c[0], int(c[1]))
-				log = append(log, -2)
-			}
-		}
-		log = append(log, a.NrFree())
-		return log
-	}
-
-	fresh := New(1024, 1<<15)
-	fresh.TrackRegions(1 << 12)
-	want := program(fresh)
-
-	reused := New(0, 1<<16) // different base and larger span
-	reused.TrackRegions(1 << 12)
-	reused.FreeRange(0, 1<<16)
-	for i := 0; i < 500; i++ { // dirty it
-		reused.Alloc(i % MaxOrder)
-	}
-	reused.Reset(1024, 1<<15)
-	if reused.NrFree() != 0 {
-		t.Fatalf("reset allocator reports %d free pages", reused.NrFree())
-	}
-	got := program(reused)
-	if len(got) != len(want) {
-		t.Fatalf("log lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("program diverged at step %d: reset %d, fresh %d", i, got[i], want[i])
-		}
-	}
-	if err := reused.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResetGrowsSpan verifies a reset to a larger span than the
-// original allocation works.
-func TestResetGrowsSpan(t *testing.T) {
-	a := New(0, 1<<10)
-	a.TrackRegions(1 << 10)
-	a.FreeRange(0, 1<<10)
-	a.Reset(0, 1<<14)
-	a.FreeRange(0, 1<<14)
-	if a.NrFree() != 1<<14 {
-		t.Fatalf("free %d after grow-reset, want %d", a.NrFree(), 1<<14)
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -29,7 +29,7 @@ func ablationBatching(w *World, batched bool, bytes int64) float64 {
 	cost.BatchUnplugExits = batched
 	vm := vmm.New("ablation", sched, cost, hostmem.New(0), 4)
 	vm.PinReclaimThreads()
-	k := w.Kernel(vm, guestos.Config{
+	k := guestos.NewKernel(vm, guestos.Config{
 		BootBytes: units.BlockSize, KernelResidentBytes: 16 * units.MiB,
 	})
 	mgr := core.NewManager(k, core.Config{PartitionBytes: bytes, Concurrency: 2})
@@ -73,7 +73,7 @@ func vanillaUnplug512(w *World, cost *costmodel.Model, policy virtiomem.Candidat
 	vm := vmm.New("ablation", sched, cost, hostmem.New(0), 4)
 	vm.PinReclaimThreads()
 	const vmBytes = 4 * units.GiB
-	k := w.Kernel(vm, guestos.Config{
+	k := guestos.NewKernel(vm, guestos.Config{
 		BootBytes: units.BlockSize, MovableBytes: vmBytes,
 		KernelResidentBytes: 16 * units.MiB,
 	})

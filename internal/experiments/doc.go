@@ -14,8 +14,7 @@
 // optionally chained into data-dependent stages. The unified executor
 // (runner.go) flattens experiments × trials × stages onto one worker
 // pool; each worker owns a World (world.go) that gives every cell a
-// fresh scheduler and keeps only its guest-kernel arena cache
-// (guestos.Recycler) from cell to cell.
+// fresh scheduler and carries no simulator state from cell to cell.
 //
 // The fleet-scale cluster-* sweeps are declared as data: a list of
 // fleetCells (config plus lead columns) and a list of column names,
@@ -30,8 +29,8 @@
 // # Determinism
 //
 // Workers write only pre-assigned result slots, per-trial and per-cell
-// seeds derive through SubSeed (splitmix64), recycled kernel arenas
-// reset to fresh-equivalent state, shard tasks are order-independent, and
+// seeds derive through SubSeed (splitmix64), every cell builds its
+// simulator state fresh, shard tasks are order-independent, and
 // reports carry no timing fields — so output is byte-identical across
 // worker counts, shard counts, and serial/parallel execution, which
 // the determinism tests assert for every registered experiment.

@@ -76,7 +76,7 @@ func fig5Run(w *World, method string, instSize int64, n int) Fig5Row {
 
 	switch method {
 	case "squeezy":
-		k = w.Kernel(vm, guestos.Config{
+		k = guestos.NewKernel(vm, guestos.Config{
 			BootBytes:           units.BlockSize,
 			KernelResidentBytes: 32 * units.MiB,
 		})
@@ -84,7 +84,7 @@ func fig5Run(w *World, method string, instSize int64, n int) Fig5Row {
 		sq.Plug(n, func(int) {})
 		sched.Run()
 	default:
-		k = w.Kernel(vm, guestos.Config{
+		k = guestos.NewKernel(vm, guestos.Config{
 			BootBytes:           units.BlockSize,
 			MovableBytes:        int64(n) * instBytes,
 			KernelResidentBytes: 32 * units.MiB,

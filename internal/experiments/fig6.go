@@ -35,8 +35,7 @@ type Fig6Result struct {
 // jitters) with utilization; Squeezy stays flat at ≈125 ms.
 //
 // The plan has one cell per utilization × method point. These are the
-// largest single worlds in the registry (64 GiB spans), so the
-// recycled ord arrays and bitmaps pay off most here.
+// largest single worlds in the registry (64 GiB spans).
 func Fig6Plan(opts Options) *Plan {
 	vmBytes := int64(64) * units.GiB
 	utils := []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
@@ -75,7 +74,7 @@ func fig6Run(w *World, method string, vmBytes int64, utilPct int, seed uint64) f
 
 	switch method {
 	case "squeezy":
-		k := w.Kernel(vm, guestos.Config{
+		k := guestos.NewKernel(vm, guestos.Config{
 			BootBytes:           units.BlockSize,
 			KernelResidentBytes: 32 * units.MiB,
 		})
@@ -107,7 +106,7 @@ func fig6Run(w *World, method string, vmBytes int64, utilPct int, seed uint64) f
 		return lat.Milliseconds()
 
 	default:
-		k := w.Kernel(vm, guestos.Config{
+		k := guestos.NewKernel(vm, guestos.Config{
 			BootBytes:           units.BlockSize,
 			MovableBytes:        vmBytes,
 			KernelResidentBytes: 32 * units.MiB,

@@ -116,7 +116,7 @@ func fig7Run(w *World, method string, duration sim.Duration, seed uint64) Fig7Se
 
 	switch method {
 	case "squeezy":
-		k = w.Kernel(vm, guestos.Config{BootBytes: units.BlockSize, KernelResidentBytes: 32 * units.MiB})
+		k = guestos.NewKernel(vm, guestos.Config{BootBytes: units.BlockSize, KernelResidentBytes: 32 * units.MiB})
 		n := int(vmBytes / reclaim)
 		sq = core.NewManager(k, core.Config{PartitionBytes: reclaim, Concurrency: n})
 		loadParts := int(loadBytes / reclaim)
@@ -129,7 +129,7 @@ func fig7Run(w *World, method string, duration sim.Duration, seed uint64) Fig7Se
 		}
 		guestClass, hostClass = core.GuestClass, core.HostClass
 	default:
-		k = w.Kernel(vm, guestos.Config{
+		k = guestos.NewKernel(vm, guestos.Config{
 			BootBytes: units.BlockSize, MovableBytes: vmBytes, KernelResidentBytes: 32 * units.MiB,
 		})
 		if method == "virtio-mem" {

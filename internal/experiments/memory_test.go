@@ -62,8 +62,8 @@ func TestStreamingMemoryBounded(t *testing.T) {
 // TestDiurnalSketchOnPooledWorld checks sketched fleet cells on a used
 // World: a sketched diurnal run on a world that already ran a
 // different (exact-mode) shape must match a fresh world byte for byte,
-// and the reverse, so nothing a World carries between cells — its
-// guest-kernel arena cache — leaks into a fleet cell's results.
+// and the reverse, so nothing a World carries between cells leaks into
+// a fleet cell's results.
 func TestDiurnalSketchOnPooledWorld(t *testing.T) {
 	fc := diurnalCfg(Options{Quick: true}, faas.Squeezy)
 	want := fleetRun(newWorld(), 4, fc)
@@ -78,13 +78,13 @@ func TestDiurnalSketchOnPooledWorld(t *testing.T) {
 		funcs: 8, duration: fc.duration / 4, baseRPS: 4, burstRPS: 20,
 	}
 	w.begin()
-	fleetRun(w, 99, dirty) // pollute the pools with an exact-mode shape
+	fleetRun(w, 99, dirty) // run an exact-mode shape first
 	w.endCell()
 	w.begin()
 	got := fleetRun(w, 4, fc)
 	w.endCell()
 	if got != want {
-		t.Fatalf("pooled sketched run diverges from fresh:\n%+v\n%+v", got, want)
+		t.Fatalf("sketched run on a used world diverges from fresh:\n%+v\n%+v", got, want)
 	}
 
 	// And the reverse direction: an exact cell after a sketched one

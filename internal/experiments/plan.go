@@ -21,9 +21,8 @@ package experiments
 // cell may decompose further at run time by fanning independent tasks
 // through World.Exec — a sharded fleet cell advances each host shard
 // as one such task, with the executor's idle workers picking them up.
-// Shard tasks never touch the World's arena cache, only state the cell
-// handed them, and must be order-independent so serial and pooled
-// execution agree byte-for-byte.
+// Shard tasks touch only state the cell handed them, and must be
+// order-independent so serial and pooled execution agree byte-for-byte.
 
 // Cell is one independently runnable simulation unit: a label for
 // per-cell timing (-cellstats), and a closure that runs the simulation

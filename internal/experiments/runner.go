@@ -319,7 +319,7 @@ func (x *executor) advance(pr *planRun) {
 
 // work is one worker's loop: run a published sub-task when one is
 // available (it is on a running cell's critical path), else pop a
-// cell, simulate it on the pooled world, and on the stage's last cell
+// cell, simulate it on the worker's world, and on the stage's last cell
 // advance the report to its next stage (or assemble it).
 func (x *executor) work(w *World, wk int) {
 	for {

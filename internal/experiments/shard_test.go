@@ -51,13 +51,13 @@ func TestFleetShardsOnPooledWorld(t *testing.T) {
 	dirty := fc
 	dirty.backend, dirty.hosts, dirty.policy = faas.Harvest, 4, "round-robin"
 	w.begin()
-	fleetRun(w, 99, dirty) // pollute the pools with a different shape
+	fleetRun(w, 99, dirty) // run a different shape first
 	w.endCell()
 	w.begin()
 	got := fleetRun(w, 4, fc)
 	w.endCell()
 	if got != want {
-		t.Fatalf("pooled fleet run diverges from fresh:\n%+v\n%+v", got, want)
+		t.Fatalf("fleet run on a used world diverges from fresh:\n%+v\n%+v", got, want)
 	}
 }
 

@@ -8,20 +8,21 @@ import (
 )
 
 // Adaptive worker sizing: `-parallel 0` means "use the machine", but
-// every worker owns a World whose guest-kernel arena cache grows to
-// the largest kernel it has simulated — a 64 GiB-span VM's population
-// bitmap, buddy ord span, and region counters. On memory-tight hosts, GOMAXPROCS worlds can
-// push RSS past what the box wants, so the default worker count is
-// capped by a memory budget: at most budget/WorldMemEstimateBytes
-// workers, never fewer than one. An explicit `-parallel N` is always
-// honored as given.
+// every worker simulates one cell at a time, and a cell in flight can
+// hold a couple of hundred MiB. On memory-tight hosts, GOMAXPROCS
+// workers can push RSS past what the box wants, so the default worker
+// count is capped by a memory budget: at most
+// budget/WorldMemEstimateBytes workers, never fewer than one. An
+// explicit `-parallel N` is always honored as given.
 
-// WorldMemEstimateBytes is the per-world RSS estimate behind the cap:
-// a deliberately conservative upper bound for a world that has cached
-// the full protocol's largest arena set (the 64 GiB-span fig6/fig7
-// kernels dominate: ~2 MiB population bitmap, ~16 MiB buddy ord span,
-// region counters, recycled zone structs, plus the live state of the
-// cell in flight).
+// WorldMemEstimateBytes is the per-worker memory estimate behind the
+// cap. A world keeps nothing between cells, so it bounds only the live
+// heap of the cell in flight: on the full protocol at -parallel 1, the
+// largest live heap after a GC was 181 MiB (GODEBUG=gctrace=1, go1.24,
+// linux/amd64), and this leaves ~40% of margin over it. The collector's
+// headroom on top of the live heap (GOGC=100 lets the heap reach twice
+// it) is not included: that run peaked at 362 MiB of heap and 371 MiB
+// RSS.
 const WorldMemEstimateBytes = 256 << 20
 
 // AutoWorkers returns the worker count a `-parallel 0` run should use:

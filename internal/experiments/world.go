@@ -6,35 +6,22 @@ import (
 	"squeezy/internal/cluster"
 	"squeezy/internal/costmodel"
 	"squeezy/internal/faas"
-	"squeezy/internal/guestos"
 	"squeezy/internal/hostmem"
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
-	"squeezy/internal/vmm"
 )
 
 // World is the per-worker state one worker hands to each cell it
 // executes. Every cell gets a fresh scheduler, and everything it builds
-// on it — VMs, runtimes, fleets — is fresh too and dies with the cell.
-// The one thing a World carries from cell to cell is its guest-kernel
-// arena cache (guestos.Recycler): buddy ord spans and population
-// bitmaps are the dominant allocations of a sweep, and
-// building them fresh per cell is measured to double the bytes it
-// allocates. Kernels and runtimes built through the World draw from
-// that cache and hand their arenas back when the cell ends; the arena
-// reset invariants (buddy.Allocator.Reset, mem.Zone.Reset) guarantee a
-// cell runs identically on a used world and on a fresh one, so worker
-// count and cell interleaving never leak into results.
+// on it — VMs, guest kernels, runtimes, fleets — is fresh too and dies
+// with the cell: no simulator state crosses a cell, so worker count
+// and cell interleaving never leak into results.
 //
 // A World is owned by exactly one goroutine. The shard tasks a sharded
 // fleet cell fans out through Exec touch only that fleet's per-host
-// state, never the World's arena cache.
+// state.
 type World struct {
 	sched *sim.Scheduler
-	rec   *guestos.Recycler
-
-	kernels  []*guestos.Kernel
-	runtimes []*faas.Runtime
 
 	// par, when non-nil, runs a batch of independent sub-cell tasks on
 	// the executor's worker pool (runner.go installs it); nil runs
@@ -59,7 +46,7 @@ type World struct {
 
 // newWorld returns a fresh world, ready for its first cell.
 func newWorld() *World {
-	return &World{sched: sim.NewScheduler(), rec: guestos.NewRecycler()}
+	return &World{sched: sim.NewScheduler()}
 }
 
 // begin prepares the world for the next cell: a fresh scheduler at
@@ -92,56 +79,32 @@ func (w *World) Trace() *obs.Trace {
 	return w.obsTrace
 }
 
-// endCell releases the finished cell's guest-kernel arenas into the
-// world's cache so the next cell reuses them, and flushes a non-empty
-// trace into the run's sink.
+// endCell flushes the finished cell's trace, if it recorded anything,
+// into the run's sink.
 func (w *World) endCell() {
 	if w.obsTrace != nil && !w.obsTrace.Empty() {
 		w.obsSink.Add(w.obsTrace)
 	}
 	w.obsTrace = nil
-	for i, k := range w.kernels {
-		k.Release()
-		w.kernels[i] = nil
-	}
-	w.kernels = w.kernels[:0]
-	for i, rt := range w.runtimes {
-		rt.Release()
-		w.runtimes[i] = nil
-	}
-	w.runtimes = w.runtimes[:0]
 }
 
 // Scheduler returns the cell's scheduler, fresh at virtual time zero.
 func (w *World) Scheduler() *sim.Scheduler { return w.sched }
 
-// Kernel builds a guest kernel from the world's arena cache and tracks
-// it for release when the cell ends.
-func (w *World) Kernel(vm *vmm.VM, cfg guestos.Config) *guestos.Kernel {
-	cfg.Recycle = w.rec
-	k := guestos.NewKernel(vm, cfg)
-	w.kernels = append(w.kernels, k)
-	return k
-}
-
-// Runtime builds a FaaS runtime on the world's scheduler whose VMs'
-// guest kernels draw from the world's arena cache; the arenas are
-// released when the cell ends.
+// Runtime builds a FaaS runtime on the world's scheduler, traced as
+// the cell's next host when tracing is on.
 func (w *World) Runtime(host *hostmem.Host, cost *costmodel.Model) *faas.Runtime {
 	rt := faas.NewRuntime(w.sched, host, cost)
-	rt.Recycle = w.rec
 	if tr := w.Trace(); tr != nil {
-		rt.Obs = tr.HostTrack(len(w.runtimes), w.sched)
+		rt.Obs = tr.HostTrack(len(tr.Hosts()), w.sched)
 	}
-	w.runtimes = append(w.runtimes, rt)
 	return rt
 }
 
 // Fleet returns a fresh sharded fleet of the requested shape, with
 // its Exec hook wired to the world so shard tasks land on the
-// executor's worker pool. Each host runs on its own scheduler and
-// builds its kernels fresh: per-host state never touches the world's
-// arena cache, whichever shard worker advances it.
+// executor's worker pool. Each host runs on its own scheduler, so
+// whichever shard worker advances it sees only that host's state.
 func (w *World) Fleet(cost *costmodel.Model, cfg cluster.Config, policy cluster.Policy) *cluster.ShardedCluster {
 	fleet := cluster.NewSharded(cost, cfg, policy)
 	fleet.Exec = w.Exec

@@ -15,13 +15,4 @@
 // statically over-provisioned VM (no elasticity, Figure 1), vanilla
 // virtio-mem, Squeezy, and virtio-mem with the HarvestVM optimizations
 // (proactive reclamation + slack buffering, [24]).
-//
-// # Pooling
-//
-// Only the guest kernel's arenas are pooled across runs: a Runtime (or
-// a VMConfig) given a guestos.Recycler builds each VM's kernel from it,
-// and Runtime.Release / FuncVM.Release hand the arenas back once the
-// simulation is over. The FuncVM, its vmm.VM and the agent's maps and
-// queues are built fresh for every run. One Recycler belongs to one
-// goroutine.
 package faas

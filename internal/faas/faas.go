@@ -170,11 +170,6 @@ type VMConfig struct {
 	// HarvestBufferBytes is the slack buffer cap for the Harvest
 	// backend.
 	HarvestBufferBytes int64
-	// Recycle, when non-nil, supplies recycled arena storage for the
-	// VM's guest kernel (Runtime.AddVM injects the runtime's recycler
-	// when this is unset). Release the kernel with FuncVM.Release once
-	// the VM is dead.
-	Recycle *guestos.Recycler
 	// LeanMetrics skips the per-request Completions log and the
 	// per-function Latencies samples, both of which grow with request
 	// count. Bounded-memory fleet replays (cluster sketch mode) set it:
@@ -332,7 +327,6 @@ func newFuncVM(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, 
 			BootBytes:           bootBytes,
 			MovableBytes:        0,
 			KernelResidentBytes: cfg.Fn.GuestOSBytes,
-			Recycle:             cfg.Recycle,
 		})
 		fv.sq = core.NewManager(fv.K, core.Config{
 			PartitionBytes: instBytes,
@@ -352,7 +346,6 @@ func newFuncVM(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, 
 			BootBytes:           bootBytes,
 			MovableBytes:        movable,
 			KernelResidentBytes: cfg.Fn.GuestOSBytes,
-			Recycle:             cfg.Recycle,
 		})
 		if cfg.Kind == Static {
 			fv.K.OnlineAllMovable()
@@ -372,12 +365,6 @@ func newFuncVM(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, 
 	}
 	return fv
 }
-
-// Release retires the VM's guest-kernel arenas into the recycler it
-// was configured with (VMConfig.Recycle). The VM must be dead: nothing
-// may touch it afterwards. Release is idempotent; repeated calls are
-// no-ops.
-func (fv *FuncVM) Release() { fv.K.Release() }
 
 // InstanceBytes returns the block-aligned per-instance memory size.
 func (fv *FuncVM) InstanceBytes() int64 { return fv.instBytes }

@@ -2,7 +2,6 @@ package faas
 
 import (
 	"squeezy/internal/costmodel"
-	"squeezy/internal/guestos"
 	"squeezy/internal/hostmem"
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
@@ -24,11 +23,6 @@ type Runtime struct {
 	// deficit; HarvestVM's proactive reclamation uses >1 to reclaim
 	// ahead of demand (§6.2.2).
 	ProactiveFactor float64
-
-	// Recycle, when non-nil, is the guest-kernel arena cache every
-	// AddVM without its own VMConfig.Recycle builds from; Release
-	// returns the kernels' arenas to it.
-	Recycle *guestos.Recycler
 
 	// Obs, when non-nil, records the host's memory-mechanics events:
 	// pressure signals here, cold-start phases and reclaim detail in the
@@ -66,25 +60,11 @@ func NewRuntime(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model)
 	return r
 }
 
-// AddVM boots a FuncVM and registers it with the runtime. With a
-// recycler attached, the VM's kernel arenas come out of it.
+// AddVM boots a FuncVM and registers it with the runtime.
 func (r *Runtime) AddVM(cfg VMConfig) *FuncVM {
-	if cfg.Recycle == nil {
-		cfg.Recycle = r.Recycle
-	}
 	fv := newFuncVM(r.Sched, r.Host, r.Cost, r.Broker, r.Obs, r.Faults, cfg)
 	r.VMs = append(r.VMs, fv)
 	return fv
-}
-
-// Release retires every VM's guest-kernel arenas into its recycler
-// (no-op without one). Call it only when the simulation is over: the
-// runtime and its VMs must not be used afterwards. Like
-// FuncVM.Release, it is idempotent.
-func (r *Runtime) Release() {
-	for _, fv := range r.VMs {
-		fv.Release()
-	}
 }
 
 // handlePressure frees host memory for queued scale-ups: drain harvest

@@ -15,10 +15,8 @@
 // is a slice per 128 MiB hotplug block indexed by each chunk's slot,
 // zone occupancy questions resolve through the buddy allocator's
 // per-region free counters, and the free-list scramble builds no
-// Chunks. A Recycler caches the flat storage a kernel allocates (zone
-// structs with their buddy ord spans, bitmap words) so a worker's next
-// cell rebuilds kernels without reallocating; a kernel built from
-// recycled arenas behaves identically to one built fresh.
-// It is the simulator's only cross-cell pool: every other layer a cell
-// builds is constructed fresh and dies with the cell.
+// Chunks. The population bitmap is paged by hotplug block like the
+// reverse map: a block's words are allocated when the guest first
+// populates it. A kernel keeps no state beyond its own lifetime; every
+// kernel is built fresh.
 package guestos

@@ -2,10 +2,10 @@ package guestos
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand/v2"
 	"sort"
 
+	"squeezy/internal/bitmap"
 	"squeezy/internal/costmodel"
 	"squeezy/internal/mem"
 	"squeezy/internal/sim"
@@ -115,74 +115,6 @@ type Kernel struct {
 	// scratch is the reused extent buffer of popGreedy, so scrambling a
 	// zone allocates nothing once it has grown to the zone's size.
 	scratch []extent
-
-	recycle *Recycler // nil unless the kernel was built through one
-}
-
-// Recycler caches the flat storage a guest kernel allocates — zone
-// structs with their buddy ord spans and region counters, and the
-// populated bitmap's word array — so a worker simulating many worlds
-// in sequence reuses one arena set instead of reconstructing it per
-// run. Pass it via Config.Recycle and hand a dead kernel's storage
-// back with Kernel.Release.
-//
-// It is the simulator's one cross-run pool, kept because it is
-// measured to pay: building these arenas fresh per cell doubles the
-// bytes a sweep allocates. Everything else a cell builds is fresh.
-//
-// Reused storage is always reset to its freshly-constructed state
-// before it is handed out (mem.Zone.Reset, a zero-length bitmap), so
-// a kernel built from recycled arenas behaves identically to one
-// built from fresh ones. A Recycler is not safe for concurrent use:
-// each worker owns its own.
-type Recycler struct {
-	zones []*mem.Zone
-	words [][]uint64
-}
-
-// NewRecycler returns an empty recycler.
-func NewRecycler() *Recycler { return &Recycler{} }
-
-// zone hands out a retired zone Reset to the requested identity, or a
-// fresh one when none is spare. A nil recycler constructs fresh zones.
-func (r *Recycler) zone(name string, kind mem.ZoneKind, start mem.PFN, npages int64) *mem.Zone {
-	if r == nil || len(r.zones) == 0 {
-		return mem.NewZone(name, kind, start, npages)
-	}
-	z := r.zones[len(r.zones)-1]
-	r.zones = r.zones[:len(r.zones)-1]
-	z.Reset(name, kind, start, npages)
-	return z
-}
-
-// takeWords hands out a recycled bitmap backing (length zero — the
-// bitset appends explicit zero words, so stale content is harmless).
-func (r *Recycler) takeWords() []uint64 {
-	if r == nil || len(r.words) == 0 {
-		return nil
-	}
-	w := r.words[len(r.words)-1]
-	r.words = r.words[:len(r.words)-1]
-	return w[:0]
-}
-
-// Release retires the kernel's arena storage into the recycler it was
-// built with (a no-op for kernels built without one, or already
-// released). The kernel must not be used afterwards: its zones and
-// bitmap now belong to the recycler and will back future kernels.
-func (k *Kernel) Release() {
-	r := k.recycle
-	if r == nil {
-		return
-	}
-	r.zones = append(r.zones, k.zones...)
-	k.zones = nil
-	k.Normal, k.Movable, k.SharedZone = nil, nil, nil
-	if k.populated.words != nil {
-		r.words = append(r.words, k.populated.words)
-		k.populated.words = nil
-	}
-	k.recycle = nil
 }
 
 // Config sizes a guest kernel.
@@ -197,10 +129,6 @@ type Config struct {
 	// KernelResidentBytes is the boot footprint of the guest kernel and
 	// agent, allocated from Normal and populated in the host.
 	KernelResidentBytes int64
-	// Recycle, when non-nil, supplies recycled arena storage (zone
-	// structs, buddy ord spans, bitmap words) harvested from kernels a
-	// previous simulation released.
-	Recycle *Recycler
 }
 
 // NewKernel boots a guest kernel inside vm. The VM must have enough
@@ -219,9 +147,7 @@ func NewKernel(vm *vmm.VM, cfg Config) *Kernel {
 		procs:   make(map[int]*Process),
 		files:   make(map[string]*CachedFile),
 		nextPID: 1,
-		recycle: cfg.Recycle,
 	}
-	k.populated.words = cfg.Recycle.takeWords()
 	k.Normal = k.addZone("Normal", mem.ZoneNormal, bootBytes)
 	for i := 0; i < k.Normal.Blocks(); i++ {
 		k.Normal.OnlineBlock(i)
@@ -246,12 +172,12 @@ func NewKernel(vm *vmm.VM, cfg Config) *Kernel {
 // address space.
 func (k *Kernel) addZone(name string, kind mem.ZoneKind, bytes int64) *mem.Zone {
 	pages := units.BytesToPages(units.AlignUp(bytes, units.BlockSize))
-	z := k.recycle.zone(name, kind, k.nextPFN, pages)
+	z := mem.NewZone(name, kind, k.nextPFN, pages)
 	k.nextPFN += pages
 	k.zones = append(k.zones, z)
-	k.populated.grow(k.nextPFN)
 	for int64(len(k.chunksIn)) < k.nextPFN/units.PagesPerBlock {
 		k.chunksIn = append(k.chunksIn, nil)
+		k.populated.blocks = append(k.populated.blocks, nil)
 	}
 	return z
 }
@@ -746,87 +672,53 @@ func (k *Kernel) CheckInvariants() error {
 
 // --- bitset ---
 
-type bitset struct{ words []uint64 }
+// bitset is a bit per PFN, paged by hotplug block: blocks[b] is nil
+// until a bit of block b is first set, so a kernel pays only for the
+// blocks its guest populates. Ranges may cross blocks.
+type bitset struct{ blocks []bitmap.Bitmap }
 
-func (b *bitset) grow(n int64) {
-	need := int((n + 63) / 64)
-	for len(b.words) < need {
-		b.words = append(b.words, 0)
-	}
-}
-
-// rangeMasks yields the word span [wlo, whi] of bit range [start,
-// start+n) and the partial masks for the first and last word.
-func rangeMasks(start, n int64) (wlo, whi int64, first, last uint64) {
-	end := start + n - 1
-	wlo, whi = start/64, end/64
-	first = ^uint64(0) << (start % 64)
-	last = ^uint64(0) >> (63 - end%64)
-	return wlo, whi, first, last
+// piece returns the block holding bit start and the part of [start,
+// start+n) inside it, as an offset and a length.
+func piece(start, n int64) (blk, off, m int64) {
+	blk, off = start/units.PagesPerBlock, start%units.PagesPerBlock
+	return blk, off, min(n, units.PagesPerBlock-off)
 }
 
 // setRange sets bits [start, start+n), returning how many were
-// previously clear. Whole 64-bit words are handled with single
-// mask-and-popcount operations.
+// previously clear.
 func (b *bitset) setRange(start, n int64) (fresh int64) {
-	if n <= 0 {
-		return 0
+	for n > 0 {
+		blk, off, m := piece(start, n)
+		if b.blocks[blk] == nil {
+			b.blocks[blk] = bitmap.New(units.PagesPerBlock)
+		}
+		fresh += b.blocks[blk].SetRange(off, m)
+		start, n = start+m, n-m
 	}
-	wlo, whi, first, last := rangeMasks(start, n)
-	if wlo == whi {
-		m := first & last
-		fresh = int64(bits.OnesCount64(m &^ b.words[wlo]))
-		b.words[wlo] |= m
-		return fresh
-	}
-	fresh = int64(bits.OnesCount64(first &^ b.words[wlo]))
-	b.words[wlo] |= first
-	for w := wlo + 1; w < whi; w++ {
-		fresh += int64(64 - bits.OnesCount64(b.words[w]))
-		b.words[w] = ^uint64(0)
-	}
-	fresh += int64(bits.OnesCount64(last &^ b.words[whi]))
-	b.words[whi] |= last
 	return fresh
 }
 
 // clearRange clears bits [start, start+n), returning how many were
 // previously set.
 func (b *bitset) clearRange(start, n int64) (cleared int64) {
-	if n <= 0 {
-		return 0
+	for n > 0 {
+		blk, off, m := piece(start, n)
+		if b.blocks[blk] != nil {
+			cleared += b.blocks[blk].ClearRange(off, m)
+		}
+		start, n = start+m, n-m
 	}
-	wlo, whi, first, last := rangeMasks(start, n)
-	if wlo == whi {
-		m := first & last
-		cleared = int64(bits.OnesCount64(m & b.words[wlo]))
-		b.words[wlo] &^= m
-		return cleared
-	}
-	cleared = int64(bits.OnesCount64(first & b.words[wlo]))
-	b.words[wlo] &^= first
-	for w := wlo + 1; w < whi; w++ {
-		cleared += int64(bits.OnesCount64(b.words[w]))
-		b.words[w] = 0
-	}
-	cleared += int64(bits.OnesCount64(last & b.words[whi]))
-	b.words[whi] &^= last
 	return cleared
 }
 
 // countRange returns the number of set bits in [start, start+n).
 func (b *bitset) countRange(start, n int64) (set int64) {
-	if n <= 0 {
-		return 0
+	for n > 0 {
+		blk, off, m := piece(start, n)
+		if b.blocks[blk] != nil {
+			set += b.blocks[blk].CountRange(off, m)
+		}
+		start, n = start+m, n-m
 	}
-	wlo, whi, first, last := rangeMasks(start, n)
-	if wlo == whi {
-		return int64(bits.OnesCount64(first & last & b.words[wlo]))
-	}
-	set = int64(bits.OnesCount64(first & b.words[wlo]))
-	for w := wlo + 1; w < whi; w++ {
-		set += int64(bits.OnesCount64(b.words[w]))
-	}
-	set += int64(bits.OnesCount64(last & b.words[whi]))
 	return set
 }

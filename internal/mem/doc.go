@@ -8,9 +8,4 @@
 // Squeezy adds one zone per partition. Blocks within a zone are onlined
 // (their pages released to the buddy allocator) and offlined (isolated
 // and withdrawn) independently, exactly like memory_hotplug.c.
-//
-// A dead zone can Reset in place to a new identity and span, reusing
-// its storage — including the buddy ord spans, whose sparse targeted
-// zeroing makes resetting a 64 GiB span cheap. guestos.Recycler is the
-// one caller: it keeps retired zones across a worker's cells.
 package mem

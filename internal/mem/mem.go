@@ -87,33 +87,6 @@ func NewZone(name string, kind ZoneKind, start PFN, npages int64) *Zone {
 	}
 }
 
-// Reset re-dimensions the zone in place: a new identity and span over
-// the same backing storage (buddy ord span, region counters, block
-// flags), growing only when the new span is larger. All blocks start
-// offline again, exactly as after NewZone — the reset invariant the
-// guest-kernel arena recycler (guestos.Recycler) depends on.
-func (z *Zone) Reset(name string, kind ZoneKind, start PFN, npages int64) {
-	if npages <= 0 {
-		panic(fmt.Sprintf("mem: zone %q has non-positive span %d", name, npages))
-	}
-	if start%units.PagesPerBlock != 0 || npages%units.PagesPerBlock != 0 {
-		panic(fmt.Sprintf("mem: zone %q span [%d,+%d) not block-aligned", name, start, npages))
-	}
-	z.Name = name
-	z.Kind = kind
-	z.start = start
-	z.npages = npages
-	z.alloc.Reset(start, npages)
-	blocks := int(npages / units.PagesPerBlock)
-	if cap(z.blockOnline) >= blocks {
-		z.blockOnline = z.blockOnline[:blocks]
-		clear(z.blockOnline)
-	} else {
-		z.blockOnline = make([]bool, blocks)
-	}
-	z.onlinePages = 0
-}
-
 // Start returns the zone's first page frame number.
 func (z *Zone) Start() PFN { return z.start }
 

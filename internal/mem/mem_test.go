@@ -238,44 +238,3 @@ func TestZoneChurnProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestZoneResetEquivalence runs the same allocation program on a fresh
-// zone and on a used zone Reset from a different identity, and
-// requires identical chunk placement.
-func TestZoneResetEquivalence(t *testing.T) {
-	program := func(z *Zone) []PFN {
-		for i := 0; i < z.Blocks(); i++ {
-			z.OnlineBlock(i)
-		}
-		var log []PFN
-		rng := rand.New(rand.NewPCG(3, 9))
-		for i := 0; i < 500; i++ {
-			if pfn, ok := z.AllocPage(rng.IntN(10)); ok {
-				log = append(log, pfn)
-			} else {
-				log = append(log, -1)
-			}
-		}
-		return log
-	}
-	fresh := NewZone("a", ZoneMovable, units.PagesPerBlock, 4*units.PagesPerBlock)
-	want := program(fresh)
-
-	reused := NewZone("b", ZoneSqueezyPrivate, 0, 8*units.PagesPerBlock)
-	for i := 0; i < reused.Blocks(); i++ {
-		reused.OnlineBlock(i)
-	}
-	for i := 0; i < 100; i++ {
-		reused.AllocPage(i % 9)
-	}
-	reused.Reset("a", ZoneMovable, units.PagesPerBlock, 4*units.PagesPerBlock)
-	got := program(reused)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("allocation %d: reset zone %d, fresh %d", i, got[i], want[i])
-		}
-	}
-	if err := reused.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
